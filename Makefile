@@ -26,6 +26,7 @@ FUZZ_TARGETS := \
 	./internal/promtext:FuzzPromText \
 	./internal/slo:FuzzSLOSpec \
 	./internal/kernel:FuzzSketchRoundTrip \
+	./internal/server:FuzzSolveResponseJSON \
 	./cmd/prefcover:FuzzGraphImport
 
 .PHONY: all build test test-race chaos cover fuzz-short smoke cluster-smoke loadgen loadgen-smoke bench bench-json bench-gate profile vet fmt-check ci
@@ -141,10 +142,13 @@ fmt-check:
 # smoke run of the benchmark harness (tiny benchtime; result discarded), and
 # the bench-gate regression check of the gain kernels against the committed
 # BENCH_solver.json snapshot. bench/ is its own module, outside ./..., so it
-# is vetted and built separately: an API change that breaks the serving
-# benchmark fails here instead of in the benchmark run.
+# is vetted, built and tested separately: an API change that breaks the
+# serving benchmark fails here instead of in the benchmark run, and its
+# TestSmoke runs every workload briefly on small graphs, untraced and
+# traced, with the correctness oracle on.
 ci: vet fmt-check build test test-race cover smoke cluster-smoke loadgen-smoke
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+	cd bench && $(GO) test ./...
 	$(GO) run ./cmd/benchjson -quiet -benchtime 1x \
 		-bench '^(BenchmarkGainKernels|BenchmarkFig4aGreedySmall|BenchmarkPublicSolve)$$' \
 		-out $(or $(TMPDIR),/tmp)/prefcover-bench-smoke.json

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -706,6 +707,78 @@ func BenchmarkRemoteSolveWithRetries(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSolveResponse measures a warm prefix-cache hit end to end on the
+// full-size YC preset (52,739 nodes): prefcoverd runs in-process behind
+// httptest, one k=200 reference solve warms the cache, and each op is a
+// shorter-prefix hit (k cycling over 1..199) whose whole body is read.
+// The solver does no work here; the op is rebuilding and encoding the
+// response, whose per-item coverage report has one float per node.
+func BenchmarkSolveResponse(b *testing.B) {
+	g, ok := benchGraphs["yc-full"]
+	if !ok {
+		spec, err := isynth.PresetGraphSpec(isynth.YC, 1, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g, err = isynth.GenerateGraph(spec); err != nil {
+			b.Fatal(err)
+		}
+		benchGraphs["yc-full"] = g
+	}
+	var body bytes.Buffer
+	if err := prefcover.WriteGraphJSON(&body, g); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := iserver.NewWithConfig(iserver.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	put, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/yc", &body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	put.Header.Set("Content-Type", "application/json")
+	if resp, err := http.DefaultClient.Do(put); err != nil || resp.StatusCode != http.StatusCreated {
+		b.Fatalf("upload: %v (%+v)", err, resp)
+	} else {
+		resp.Body.Close()
+	}
+
+	solve := func(k int, wantCache string) int64 {
+		resp, err := http.Post(fmt.Sprintf("%s/v1/solve?variant=i&k=%d", ts.URL, k),
+			"application/json", strings.NewReader(`{"graph_ref":"yc"}`))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Prefcover-Cache") != wantCache {
+			b.Fatalf("k=%d: %v, status %d, cache %q (want %q)",
+				k, err, resp.StatusCode, resp.Header.Get("X-Prefcover-Cache"), wantCache)
+		}
+		return n
+	}
+	solve(200, "miss")
+	// sync.Pool keeps a per-P private buffer another P cannot take, so a
+	// few untimed hits first leave every P's response and replay buffers
+	// warm, and the timed ops measure the steady state.
+	for i := 0; i < 4*runtime.GOMAXPROCS(0); i++ {
+		solve(199-i%199, "hit")
+	}
+	var read int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A stride coprime with 199 visits every k in 1..199 in turn, so
+		// short runs sample the whole range too.
+		read += solve(1+(i*37)%199, "hit")
+	}
+	b.ReportMetric(float64(read)/float64(b.N)/1024, "KiB/resp")
 }
 
 // BenchmarkTracePropagationOverhead isolates what distributed tracing

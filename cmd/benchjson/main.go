@@ -26,7 +26,7 @@ import (
 // lazy-vs-scan and incremental-vs-scratch ablations (Section 5.4's cost
 // accounting), the small greedy end-to-end, the minimization drivers and
 // the public facade.
-const defaultBench = "^(BenchmarkGainKernels|BenchmarkAblationLazyVsScan|BenchmarkAblationIncremental|BenchmarkFig4aGreedySmall|BenchmarkPublicSolve|BenchmarkFig4fMinCover|BenchmarkSolveCacheHitVsMiss|BenchmarkRemoteSolveWithRetries|BenchmarkTracePropagationOverhead|BenchmarkProfileLabelOverhead)$"
+const defaultBench = "^(BenchmarkGainKernels|BenchmarkAblationLazyVsScan|BenchmarkAblationIncremental|BenchmarkFig4aGreedySmall|BenchmarkPublicSolve|BenchmarkFig4fMinCover|BenchmarkSolveCacheHitVsMiss|BenchmarkSolveResponse|BenchmarkRemoteSolveWithRetries|BenchmarkTracePropagationOverhead|BenchmarkProfileLabelOverhead)$"
 
 // File is the BENCH_*.json document.
 type File struct {

@@ -100,6 +100,10 @@ type Picker struct {
 func NewPicker(ctx context.Context, st *State, workers int, sk *Sketch) *Picker {
 	p := &Picker{ctx: ctx, st: st, sk: sk}
 	n := st.g.NumNodes()
+	if st.buf.entries == nil {
+		// Allocated on first use: states that only replay never need it.
+		st.buf.entries = make([]entry, 0, n)
+	}
 	entries := st.buf.entries[:0]
 	round := int32(st.size)
 	bg := cachedBaseGains(st.g, st.variant)

@@ -15,7 +15,7 @@ type buffers struct {
 	covered  []float64
 	liveW    []float64
 	retained []uint64
-	entries  []entry   // picker heap backing array, len 0, cap n
+	entries  []entry   // picker heap backing array, len 0, cap n; nil until a picker needs it
 	scratch  []float64 // per-node gain staging for the chunk-parallel build
 }
 
@@ -33,7 +33,6 @@ func poolFor(n int) *sync.Pool {
 			covered:  alignedFloats(n),
 			liveW:    alignedFloats(n),
 			retained: make([]uint64, (n+63)/64),
-			entries:  make([]entry, 0, n),
 			scratch:  make([]float64, n),
 		}
 	}})

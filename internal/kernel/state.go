@@ -66,6 +66,33 @@ func NewState(g *graph.Graph, variant graph.Variant) *State {
 	return st
 }
 
+// Replay returns a State holding S = order, reached by adding order's items
+// in sequence. That is the Add sequence of the solve that selected order
+// (pins first, then picks), and by the ordered-prefix property also of the
+// solve at any shorter budget, so every I[v] — and with it Coverage — is
+// bit-identical to that solve's final state. It costs O(n) plus the
+// in-degrees of order, on pooled storage; order must hold valid node ids.
+// Call Release when done.
+func Replay(g *graph.Graph, variant graph.Variant, order []int32) *State {
+	st := NewState(g, variant)
+	for _, v := range order {
+		st.Add(v)
+	}
+	return st
+}
+
+// Coverage returns ItemCoverage for every node: the I[v]/W(v) report that
+// greedy.Solution.Coverage holds. The slice is the State's pooled scratch
+// storage, valid until the next Coverage, ScanPick or NewPicker on this
+// State or its Release.
+func (s *State) Coverage() []float64 {
+	out := s.buf.scratch
+	for v := range out {
+		out[v] = s.ItemCoverage(int32(v))
+	}
+	return out
+}
+
 // Release returns the State's backing storage to the pool. The State must
 // not be used afterwards.
 func (s *State) Release() {

@@ -12,7 +12,9 @@ package server
 //	DELETE /v1/jobs/{id}   -> cancel (202) or forget a finished job (204)
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -155,10 +157,10 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 
 // jobTask builds the queued work: resolve the reference fresh, solve
 // through the cache with progress streaming, return the same payload the
-// synchronous endpoint would. When the submission carried a trace context,
-// the worker opens a "job solve" root span continuing it — with a "queued"
-// child covering the time spent waiting for a worker — so solver iteration
-// spans land in the submitter's trace.
+// synchronous endpoint would, already encoded. When the submission carried
+// a trace context, the worker opens a "job solve" root span continuing it —
+// with a "queued" child covering the time spent waiting for a worker — so
+// solver iteration spans land in the submitter's trace.
 func (s *Server) jobTask(sc trace.SpanContext, submitted time.Time, name string, variant prefcover.Variant, opts prefcover.Options, pinLabels []string) jobs.Task {
 	return func(ctx context.Context, update func(jobs.Progress)) (any, error) {
 		// Worker-side solves profile under the submission endpoint; the job
@@ -187,11 +189,14 @@ func (s *Server) jobTask(sc trace.SpanContext, submitted time.Time, name string,
 			ctx, cancel = context.WithTimeout(ctx, s.limits.SolveTimeout)
 			defer cancel()
 		}
-		resp, _, err := s.solveRef(ctx, rs)
-		if err != nil {
+		buf := getRespBuf()
+		defer putRespBuf(buf)
+		if *buf, _, err = s.solveRef(ctx, rs, *buf); err != nil {
 			return nil, err
 		}
-		return resp, nil
+		// Keep the encoded bytes, not a response holding a float per node;
+		// status polls re-emit them unchanged.
+		return json.RawMessage(bytes.Clone(bytes.TrimSuffix(*buf, []byte("\n")))), nil
 	}
 }
 

@@ -5,7 +5,8 @@ package server
 // The cache exploits the greedy solution's ordered-prefix property — one
 // solve at budget k answers every budget k' ≤ k and, via the cover curve,
 // threshold queries — so a warm cache serves these requests with zero
-// solver work.
+// solver work. The per-item coverage report is rebuilt per request from
+// the served prefix alone; no cache entry holds one.
 
 import (
 	"context"
@@ -13,6 +14,7 @@ import (
 	"net/http"
 
 	"prefcover"
+	"prefcover/internal/kernel"
 	"prefcover/internal/profilez"
 	"prefcover/internal/solvecache"
 	"prefcover/internal/store"
@@ -62,25 +64,27 @@ func (s *Server) newRefSolve(name string, variant prefcover.Variant, opts prefco
 }
 
 // solveRef answers rs through the cache, running the solver only on a
-// miss. The "cache" span records which way it went.
-func (s *Server) solveRef(ctx context.Context, rs *refSolve) (solveResponse, solvecache.Status, error) {
+// miss, and appends the encoded response to dst. The "cache" span records
+// which way it went.
+func (s *Server) solveRef(ctx context.Context, rs *refSolve, dst []byte) ([]byte, solvecache.Status, error) {
 	cctx, span := trace.StartSpan(ctx, "cache")
 	span.SetAttr("graph", rs.name)
 	defer span.End()
+	var sol *prefcover.Solution
 	var usage *profilez.Usage
 	hit, status, err := s.cache.Do(cctx, rs.key, rs.query, func() (*solvecache.Result, error) {
-		sol, u, serr := s.solve(withGraphName(ctx, rs.name), rs.entry.Graph, rs.opts)
+		got, u, serr := s.solve(withGraphName(ctx, rs.name), rs.entry.Graph, rs.opts)
 		if serr != nil {
 			return nil, serr
 		}
-		usage = u
+		sol, usage = got, u
 		s.store.RecordSolve(rs.name)
-		return solvecache.NewResult(sol, rs.entry.Graph.NumNodes(), len(rs.opts.Pinned)), nil
+		return solvecache.NewResult(got, rs.entry.Graph.NumNodes(), len(rs.opts.Pinned)), nil
 	})
 	span.SetAttr("status", status.String())
 	s.met.cacheOps.With(status.String()).Inc()
 	if err != nil {
-		return solveResponse{}, status, err
+		return dst, status, err
 	}
 	if status == solvecache.StatusMiss {
 		// The graph may have been replaced or deleted while the solver ran,
@@ -90,41 +94,45 @@ func (s *Server) solveRef(ctx context.Context, rs *refSolve) (solveResponse, sol
 			s.cache.InvalidateGraph(rs.key.GraphHash)
 		}
 	}
-	resp, err := s.hitPayload(rs, hit)
-	if err == nil && usage != nil {
-		// Resources only when this caller ran the solver: a hit (or a fill
-		// coalesced onto another in-flight request) did no solver work here.
-		resp.Resources = usage
+	resp, replay := hitPayload(rs, hit, sol)
+	if replay != nil {
+		defer replay.Release()
 	}
-	return resp, status, err
+	// Resources only when this caller ran the solver: a hit (or a fill
+	// coalesced onto another in-flight request) did no solver work here.
+	resp.Resources = usage
+	dst, err = appendSolveResponse(dst, &resp)
+	return dst, status, err
 }
 
-// hitPayload converts a cache hit into the /v1/solve response shape. A hit
-// on a shorter-than-cached prefix carries no per-item coverage; it is
-// recomputed with the cover engine — linear in the graph, no solver work.
-func (s *Server) hitPayload(rs *refSolve, h *solvecache.Hit) (solveResponse, error) {
+// hitPayload converts a cache answer into the /v1/solve response shape.
+// Its coverage is the solver's own I[v]/W(v) report for exactly the served
+// prefix, so the bytes are the same whether the cache or a fresh solve
+// answered: sol's report when this caller solved the whole prefix,
+// otherwise a replay of the prefix's Adds on pooled kernel state — O(n)
+// plus the prefix's in-degrees, no solver work. The replay state, nil when
+// unused, backs resp.Coverage; release it once resp is encoded.
+func hitPayload(rs *refSolve, h *solvecache.Hit, sol *prefcover.Solution) (resp solveResponse, replay *kernel.State) {
 	g := rs.entry.Graph
-	coverage := h.Coverage
-	if coverage == nil {
-		var err error
-		coverage, err = prefcover.PerItemCoverage(g, rs.variant, h.Order)
-		if err != nil {
-			return solveResponse{}, err
-		}
-	}
 	order := make([]string, len(h.Order))
 	for i, v := range h.Order {
 		order[i] = g.Label(v)
 	}
-	return solveResponse{
-		Variant:  rs.variant.String(),
-		K:        len(h.Order),
-		Cover:    h.Cover,
-		Reached:  h.Reached,
-		Order:    order,
-		Gains:    h.Gains,
-		Coverage: coverage,
-	}, nil
+	resp = solveResponse{
+		Variant: rs.variant.String(),
+		K:       len(h.Order),
+		Cover:   h.Cover,
+		Reached: h.Reached,
+		Order:   order,
+		Gains:   h.Gains,
+	}
+	if sol != nil && len(sol.Order) == len(h.Order) {
+		resp.Coverage = sol.Coverage
+	} else {
+		replay = kernel.Replay(g, rs.variant, h.Order)
+		resp.Coverage = replay.Coverage()
+	}
+	return resp, replay
 }
 
 // solveByRef is the /v1/solve handler tail for reference bodies.
@@ -136,11 +144,13 @@ func (s *Server) solveByRef(w http.ResponseWriter, r *http.Request, name string,
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	resp, cstat, err := s.solveRef(ctx, rs)
-	if err != nil {
+	buf := getRespBuf()
+	defer putRespBuf(buf)
+	var cstat solvecache.Status
+	if *buf, cstat, err = s.solveRef(ctx, rs, *buf); err != nil {
 		s.writeWorkError(w, r, "/v1/solve", err)
 		return
 	}
 	w.Header().Set("X-Prefcover-Cache", cstat.String())
-	writeJSON(w, resp)
+	writeRawJSON(w, *buf)
 }

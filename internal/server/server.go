@@ -501,15 +501,19 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 // writeWorkError maps a pipeline/solve failure to a status: deadline and
-// cancellation become 503 (the request was valid, the server gave up),
-// everything else stays a client error.
+// cancellation become 503 (the request was valid, the server gave up), a
+// result JSON cannot carry 500, everything else stays a client error.
 func (s *Server) writeWorkError(w http.ResponseWriter, r *http.Request, endpoint string, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	var unencodable *json.UnsupportedValueError
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		s.met.rejected.With(endpoint, "timeout").Inc()
 		s.writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("request aborted: %w", err))
-		return
+	case errors.As(err, &unencodable):
+		s.writeError(w, r, http.StatusInternalServerError, err)
+	default:
+		s.writeError(w, r, http.StatusBadRequest, err)
 	}
-	s.writeError(w, r, http.StatusBadRequest, err)
 }
 
 // solve runs the solver with metrics, tracing, profiling attribution and
@@ -957,7 +961,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := solutionPayload(g, variant, sol)
 	resp.Resources = usage
-	writeJSON(w, resp)
+	s.writeSolve(w, r, &resp)
 }
 
 // handleStats summarizes an uploaded graph (Table 2-style columns plus
@@ -974,10 +978,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, prefcover.ComputeStats(g))
 }
 
-// pipelineResponse is the /v1/pipeline reply.
+// pipelineResponse is the /v1/pipeline reply; Solve is an encoded
+// solveResponse.
 type pipelineResponse struct {
-	Adapt adaptResponse `json:"adapt"`
-	Solve solveResponse `json:"solve"`
+	Adapt adaptResponse   `json:"adapt"`
+	Solve json.RawMessage `json:"solve"`
 }
 
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
@@ -1014,6 +1019,11 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	}
 	solveResp := solutionPayload(g, variant, sol)
 	solveResp.Resources = usage
+	solveJSON, err := appendSolveResponse(nil, &solveResp)
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, err)
+		return
+	}
 	writeJSON(w, pipelineResponse{
 		Adapt: adaptResponse{
 			Variant:          variant.String(),
@@ -1021,6 +1031,6 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 			Report:           rep,
 			Graph:            json.RawMessage(bytes.TrimSpace(buf.Bytes())),
 		},
-		Solve: solveResp,
+		Solve: solveJSON,
 	})
 }

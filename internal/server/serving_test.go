@@ -19,12 +19,14 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"prefcover"
 	"prefcover/internal/graphtest"
 	"prefcover/internal/jobs"
+	"prefcover/internal/profilez"
 	"prefcover/internal/solvecache"
 	"prefcover/internal/store"
 )
@@ -368,17 +370,7 @@ func TestSolveByRefWarmCacheSkipsSolver(t *testing.T) {
 				t.Fatalf("k=%d gains[%d] = %v, want %v", k, i, warm.Gains[i], want.Gains[i])
 			}
 		}
-		if len(warm.Coverage) != g.NumNodes() {
-			t.Fatalf("k=%d coverage len = %d", k, len(warm.Coverage))
-		}
-		// Partial-prefix hits recompute coverage from scratch rather than
-		// replaying the solver's incremental accumulation, so the two can
-		// differ in the last ULP; compare with a tolerance.
-		for i, c := range want.Coverage {
-			if math.Abs(warm.Coverage[i]-c) > 1e-9 {
-				t.Fatalf("k=%d coverage[%d] = %v, want %v", k, i, warm.Coverage[i], c)
-			}
-		}
+		assertCoverageBits(t, fmt.Sprintf("k=%d", k), warm.Coverage, want.Coverage)
 	}
 
 	// Threshold mode against the cached curve: compare with MinCover for a
@@ -396,6 +388,7 @@ func TestSolveByRefWarmCacheSkipsSolver(t *testing.T) {
 		t.Fatalf("threshold: got (len %d, cover %v, reached %v), want (len %d, cover %v, reached %v)",
 			len(warmT.Order), warmT.Cover, warmT.Reached, len(wantT.Order), wantT.Cover, wantT.Reached)
 	}
+	assertCoverageBits(t, "threshold", warmT.Coverage, wantT.Coverage)
 
 	if got := totalSolves(s); got != base {
 		t.Fatalf("solver ran %d more times on warm queries", got-base)
@@ -426,6 +419,106 @@ func TestSolveByRefWarmCacheSkipsSolver(t *testing.T) {
 	if got := totalSolves(s); got != base+1 {
 		t.Fatalf("beyond-prefix solve count = %d, want %d", got, base+1)
 	}
+
+	// The coverage bits of other lineages do not depend on cache state
+	// either: a pinned lineage and the Normalized variant, each warmed at
+	// kMax and then hit at shorter budgets.
+	gn := graphtest.Random(rand.New(rand.NewSource(7)), 300, 6, prefcover.Normalized)
+	resp, _ = doReq(t, http.MethodPut, ts.URL+"/v1/graphs/demo-n",
+		http.Header{"Content-Type": []string{"application/json"}}, graphJSON(t, gn))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT demo-n status = %d", resp.StatusCode)
+	}
+	for _, tc := range []struct {
+		name, graph, params string
+		g                   *prefcover.Graph
+		variant             prefcover.Variant
+		pins                []int32
+	}{
+		{"pinned", "demo", "?variant=i&pin=%23201&pin=%2317", g, prefcover.Independent, []int32{201, 17}},
+		{"normalized", "demo-n", "?variant=n", gn, prefcover.Normalized, nil},
+	} {
+		for i, k := range []int{kMax, 2, 9, kMax - 1, kMax} {
+			resp, warm := solveRefHTTP(t, ts.URL, tc.graph, fmt.Sprintf("%s&k=%d", tc.params, k))
+			wantHeader := "hit"
+			if i == 0 {
+				wantHeader = "miss"
+			}
+			if got := resp.Header.Get("X-Prefcover-Cache"); got != wantHeader {
+				t.Fatalf("%s k=%d cache header = %q, want %q", tc.name, k, got, wantHeader)
+			}
+			want, err := prefcover.Solve(tc.g, prefcover.Options{Variant: tc.variant, K: k, Pinned: tc.pins})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertCoverageBits(t, fmt.Sprintf("%s k=%d", tc.name, k), warm.Coverage, want.Coverage)
+		}
+	}
+}
+
+// assertCoverageBits demands that a served coverage report equal a fresh
+// solve's bit for bit, so the bytes of a query do not depend on whether the
+// cache or the solver answered it.
+func assertCoverageBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: coverage has %d entries, want %d", what, len(got), len(want))
+	}
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("%s: coverage[%d] = %v, want %v", what, v, got[v], want[v])
+		}
+	}
+}
+
+// TestConcurrentHitsKeepTheirBytes races shorter-prefix hits on one warm
+// lineage: each request replays on pooled solver state and encodes into a
+// pooled buffer, and every body must still equal the one a lone request
+// got for the same k.
+func TestConcurrentHitsKeepTheirBytes(t *testing.T) {
+	_, ts := newServingServer(t, Config{})
+	g := servingGraph(t, 400)
+	doReq(t, http.MethodPut, ts.URL+"/v1/graphs/demo",
+		http.Header{"Content-Type": []string{"application/json"}}, graphJSON(t, g))
+	const kMax = 30
+	solveRefHTTP(t, ts.URL, "demo", fmt.Sprintf("?variant=i&k=%d", kMax))
+	ref, _ := json.Marshal(map[string]string{"graph_ref": "demo"})
+	post := func(k int) ([]byte, error) {
+		resp, err := http.Post(fmt.Sprintf("%s/v1/solve?variant=i&k=%d", ts.URL, k), "application/json", bytes.NewReader(ref))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	want := make(map[int][]byte, kMax)
+	for k := 1; k <= kMax; k++ {
+		body, err := post(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = body
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := 1 + (w*7+i*11)%kMax
+				body, err := post(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(body, want[k]) {
+					t.Errorf("k=%d: concurrent body differs from the lone request's", k)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestSolveByRefPinsMatchInline(t *testing.T) {
@@ -562,6 +655,71 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// TestJobResultBytes checks that a finished job, which keeps its result as
+// encoded bytes, serves GET /v1/jobs/{id} byte-identical to encoding a job
+// payload whose result is the solveResponse of a fresh solve — for a job
+// that ran the solver and for one answered from a shorter cached prefix.
+// Both are checked only after later requests have reused the pooled
+// response buffers, so a result aliasing one would show.
+func TestJobResultBytes(t *testing.T) {
+	s, ts := newServingServer(t, Config{Jobs: jobs.Options{Workers: 1}})
+	g := servingGraph(t, 200)
+	doReq(t, http.MethodPut, ts.URL+"/v1/graphs/demo",
+		http.Header{"Content-Type": []string{"application/json"}}, graphJSON(t, g))
+	ids := map[int]string{}
+	for _, k := range []int{15, 6} {
+		reqBody, _ := json.Marshal(map[string]any{"graph_ref": "demo", "variant": "i", "k": k})
+		resp, data := doReq(t, http.MethodPost, ts.URL+"/v1/jobs",
+			http.Header{"Content-Type": []string{"application/json"}}, reqBody)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d: %s", resp.StatusCode, data)
+		}
+		var submitted jobPayload
+		if err := json.Unmarshal(data, &submitted); err != nil {
+			t.Fatal(err)
+		}
+		if final := pollJob(t, ts.URL, submitted.ID); final.State != "done" {
+			t.Fatalf("k=%d: job state %s (%s)", k, final.State, final.Error)
+		}
+		ids[k] = submitted.ID
+	}
+	for k := 1; k <= 15; k++ {
+		solveRefHTTP(t, ts.URL, "demo", fmt.Sprintf("?variant=i&k=%d", k))
+	}
+	for k, id := range ids {
+		_, body := doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil, nil)
+		snap, ok := s.jobs.Get(id)
+		if !ok {
+			t.Fatalf("k=%d: job gone", k)
+		}
+		sol, err := prefcover.Solve(g, prefcover.Options{Variant: prefcover.Independent, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := solutionPayload(g, prefcover.Independent, sol)
+		// Resource figures are measured, so take them from the job itself.
+		var ran struct {
+			Resources *profilez.Usage `json:"resources"`
+		}
+		if err := json.Unmarshal(snap.Result.(json.RawMessage), &ran); err != nil {
+			t.Fatal(err)
+		}
+		if (ran.Resources != nil) != (k == 15) {
+			t.Fatalf("k=%d: resources %+v; want them only on the job that solved", k, ran.Resources)
+		}
+		want.Resources = ran.Resources
+		old := jobJSON(snap)
+		old.Result = want
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(old); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, buf.Bytes()) {
+			t.Fatalf("k=%d: job status bytes differ from the solveResponse encoding:\n got %.300s\nwant %.300s", k, body, buf.Bytes())
+		}
+	}
+}
+
 func TestJobValidation(t *testing.T) {
 	_, ts := newServingServer(t, Config{Jobs: jobs.Options{Workers: 1}})
 	jsonHdr := http.Header{"Content-Type": []string{"application/json"}}
@@ -678,8 +836,12 @@ func TestDeleteDuringSolveNotCached(t *testing.T) {
 			}
 		}
 	}
-	resp, status, err := s.solveRef(context.Background(), rs)
+	data, status, err := s.solveRef(context.Background(), rs, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var resp solveResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if status != solvecache.StatusMiss || resp.K != 10 {
@@ -702,7 +864,7 @@ func TestDeleteDuringSolveNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, status, err = s.solveRef(context.Background(), rs2); err != nil || status != solvecache.StatusMiss {
+	if _, status, err = s.solveRef(context.Background(), rs2, nil); err != nil || status != solvecache.StatusMiss {
 		t.Fatalf("re-solve status = %v err = %v, want fresh miss", status, err)
 	}
 }

@@ -8,14 +8,17 @@
 // values form a nondecreasing curve, answers threshold-mode (MinCover)
 // queries by binary search over that curve. This is the same
 // "precompute the permutation once, answer coverage queries cheaply"
-// economics as succinct coverage oracles.
+// economics as succinct coverage oracles: an entry holds the permutation
+// (order, gains, cover curve) and nothing sized by the graph, and the
+// serving layer rebuilds a response's per-item coverage from the prefix.
 //
 // Entries are keyed by (graph content hash, variant, pinned prefix,
 // strategy): the hash comes from internal/store, so replacing a graph's
 // content automatically orphans its results; pins change the selection
-// (they are force-retained first) and so partition the cache; strategy is
-// included because the stochastic strategy is seed-dependent even though
-// the three deterministic strategies select identical sets.
+// (they are force-retained first) and so partition the cache. Every
+// deterministic strategy selects the identical order, so the server leaves
+// the strategy empty and they share one lineage; only a randomized solver
+// needs its own.
 //
 // The cache is bounded (entries and approximate bytes) with LRU eviction,
 // and Do coalesces concurrent identical misses singleflight-style so a
@@ -73,7 +76,8 @@ type Query struct {
 
 // Result is one cached solution: the full ordered greedy prefix at the
 // largest budget solved so far, plus the cover curve that lets threshold
-// queries binary-search their answer. Results are immutable once stored;
+// queries binary-search their answer. It holds no per-node array: its size
+// grows with the prefix, not the graph. Results are immutable once stored;
 // Hit slices alias their arrays and must be treated as read-only.
 type Result struct {
 	// Order and Gains are the greedy selection (pins first).
@@ -83,9 +87,6 @@ type Result struct {
 	// from the per-iteration gains, bitwise-equal to the solver's own
 	// running cover (the engine accumulates the same deltas).
 	Curve []float64
-	// Coverage is the per-item coverage of the FULL order; only valid for
-	// hits that consume the entire prefix.
-	Coverage []float64
 	// Reached is the original solve's threshold outcome.
 	Reached bool
 	// N is the graph's node count (so k > len(Order) can be served when
@@ -99,19 +100,18 @@ type Result struct {
 // NewResult packages a successful solve for caching.
 func NewResult(sol *greedy.Solution, n, numPins int) *Result {
 	return &Result{
-		Order:    sol.Order,
-		Gains:    sol.Gains,
-		Curve:    sol.PrefixCover(),
-		Coverage: sol.Coverage,
-		Reached:  sol.Reached,
-		N:        n,
-		NumPins:  numPins,
+		Order:   sol.Order,
+		Gains:   sol.Gains,
+		Curve:   sol.PrefixCover(),
+		Reached: sol.Reached,
+		N:       n,
+		NumPins: numPins,
 	}
 }
 
 // bytes approximates the entry's memory footprint for the LRU budget.
 func (r *Result) bytes() int64 {
-	return int64(4*len(r.Order) + 8*len(r.Gains) + 8*len(r.Curve) + 8*len(r.Coverage) + 96)
+	return int64(4*len(r.Order) + 8*len(r.Gains) + 8*len(r.Curve) + 96)
 }
 
 // Hit is a query answered from a cached result.
@@ -125,10 +125,9 @@ type Hit struct {
 	// Reached mirrors greedy semantics: always true in pure budget mode,
 	// threshold-met in threshold mode.
 	Reached bool
-	// Coverage is the per-item coverage, non-nil only when the hit
-	// consumed the full cached prefix; shorter prefixes leave it nil for
-	// the caller to recompute with the cover engine (linear in the graph,
-	// still no solver work).
+	// Coverage is always nil: results keep no per-item coverage, and
+	// callers rebuild it from Order (kernel.Replay). The field stays
+	// because the serving benchmark's replay (bench/replay.go) reads it.
 	Coverage []float64
 }
 
@@ -181,16 +180,12 @@ func (r *Result) answer(q Query) (*Hit, bool) {
 		}
 		take = limit
 	}
-	h := &Hit{
+	return &Hit{
 		Order:   r.Order[:take],
 		Gains:   r.Gains[:take],
 		Cover:   r.Curve[take],
 		Reached: reached,
-	}
-	if take == len(r.Order) {
-		h.Coverage = r.Coverage
-	}
-	return h, true
+	}, true
 }
 
 // Options bounds the cache.
@@ -203,8 +198,9 @@ type Options struct {
 	OnEvict func(key Key)
 }
 
-// Default bounds; a cached result is small (tens of KB for k in the
-// thousands plus one float per node), so generous counts are cheap.
+// Default bounds; a cached result is small (about 20 bytes per prefix
+// item, so tens of KB for k in the thousands, whatever the graph size), so
+// generous counts are cheap.
 const (
 	DefaultMaxEntries = 1024
 	DefaultMaxBytes   = 1 << 30
