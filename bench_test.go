@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"prefcover"
 	iadapt "prefcover/internal/adapt"
@@ -779,6 +780,53 @@ func BenchmarkSolveResponse(b *testing.B) {
 		read += solve(1+(i*37)%199, "hit")
 	}
 	b.ReportMetric(float64(read)/float64(b.N)/1024, "KiB/resp")
+}
+
+// BenchmarkSelfScrape prices one SLO monitor tick on a warmed node: the
+// per-scrape gauge refresh and the registry snapshot the monitor's ring
+// records (no objectives are configured, so nothing is evaluated). Graph
+// PUT and GET and ref solves under several strategies first populate the
+// families a serving node exports.
+func BenchmarkSelfScrape(b *testing.B) {
+	srv, err := iserver.NewWithConfig(iserver.Config{SLO: iserver.SLOConfig{ScrapeInterval: time.Hour}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var body bytes.Buffer
+	if err := prefcover.WriteGraphJSON(&body, peBenchGraph(b, 2000, igraph.Independent)); err != nil {
+		b.Fatal(err)
+	}
+	do := func(method, path, body string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			b.Fatalf("%s %s: %s", method, path, resp.Status)
+		}
+	}
+	do(http.MethodPut, "/v1/graphs/bench", body.String())
+	do(http.MethodGet, "/v1/graphs/bench", "")
+	for i, strategy := range []string{"scan", "parallel", "lazy", "sketch"} {
+		do(http.MethodPost, fmt.Sprintf("/v1/solve?variant=i&k=%d&strategy=%s", 10*(i+1), strategy), `{"graph_ref":"bench"}`)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.Monitor().Tick()
+	}
 }
 
 // BenchmarkTracePropagationOverhead isolates what distributed tracing

@@ -24,9 +24,9 @@ import (
 // defaultBench curates the kernels worth tracking over time: the
 // per-variant gain kernels (the innermost loop of everything), the
 // lazy-vs-scan and incremental-vs-scratch ablations (Section 5.4's cost
-// accounting), the small greedy end-to-end, the minimization drivers and
-// the public facade.
-const defaultBench = "^(BenchmarkGainKernels|BenchmarkAblationLazyVsScan|BenchmarkAblationIncremental|BenchmarkFig4aGreedySmall|BenchmarkPublicSolve|BenchmarkFig4fMinCover|BenchmarkSolveCacheHitVsMiss|BenchmarkSolveResponse|BenchmarkRemoteSolveWithRetries|BenchmarkTracePropagationOverhead|BenchmarkProfileLabelOverhead)$"
+// accounting), the small greedy end-to-end, the minimization drivers,
+// the public facade and the serving paths, down to one SLO self-scrape.
+const defaultBench = "^(BenchmarkGainKernels|BenchmarkAblationLazyVsScan|BenchmarkAblationIncremental|BenchmarkFig4aGreedySmall|BenchmarkPublicSolve|BenchmarkFig4fMinCover|BenchmarkSolveCacheHitVsMiss|BenchmarkSolveResponse|BenchmarkRemoteSolveWithRetries|BenchmarkTracePropagationOverhead|BenchmarkProfileLabelOverhead|BenchmarkSelfScrape)$"
 
 // File is the BENCH_*.json document.
 type File struct {

@@ -170,9 +170,11 @@ func graphBody(t *testing.T, g *prefcover.Graph) []byte {
 	return buf.Bytes()
 }
 
-func sumCounters(cv *metrics.CounterVec) int64 {
+func sumCounters(reg *metrics.Registry, name string) int64 {
 	var total int64
-	cv.Each(func(_ []string, c *metrics.Counter) { total += c.Value() })
+	for _, s := range reg.Snapshot().Samples(name) {
+		total += int64(s.Value)
+	}
 	return total
 }
 
@@ -302,9 +304,9 @@ func runChaosCluster(t *testing.T, seed int64) {
 	// ---- Reconciliation: stop injecting, then audit the books. ----
 	fx.servers[0].SetFaults(nil)
 	injected := inj.TotalFaults()
-	failures := sumCounters(fx.gw.met.nodeFailures)
-	failovers := sumCounters(fx.gw.met.failovers)
-	giveUps := sumCounters(fx.gw.met.giveUps)
+	failures := sumCounters(fx.gw.reg, "prefcover_gateway_node_failures_total")
+	failovers := sumCounters(fx.gw.reg, "prefcover_gateway_failovers_total")
+	giveUps := sumCounters(fx.gw.reg, "prefcover_gateway_giveups_total")
 	if failures != injected {
 		t.Errorf("failure accounting: node 0 injected %d faults (%s) but the gateway recorded %d failed attempts",
 			injected, inj.CountsString(), failures)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"html"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
-	"prefcover/internal/metrics"
+	"prefcover/internal/promtext"
+	"prefcover/internal/slo"
 	"prefcover/internal/tsdb"
 )
 
@@ -167,8 +167,8 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatusz renders the one-page cluster dashboard: membership and
-// health, per-node RED stats from the gateway's own metric families, and
-// the failover/replication counters.
+// health, and per-node RED stats from the gateway's own metric families
+// over the fast SLO window (since boot without federation).
 func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st := g.currentState()
 	var b strings.Builder
@@ -245,29 +245,43 @@ small{color:#777}
 	}
 	b.WriteString("</table>\n")
 
-	b.WriteString("<h2>Forwarded traffic (RED)</h2>\n<table><tr><th>node</th><th>endpoint</th><th>requests</th><th>p50</th><th>p99</th></tr>\n")
+	older, newer, _, scope := slo.StatusWindow(g.monitor, g.reg, g.start)
+	fmt.Fprintf(&b, "<h2>Forwarded traffic (RED, %s)</h2>\n<table><tr><th>node</th><th>endpoint</th><th>requests</th><th>p50</th><th>p99</th></tr>\n", scope)
 	type redRow struct {
 		node, endpoint string
-		count          int64
-		p50, p99       float64
+		count          float64
+		buckets        []tsdb.SeriesDelta
 	}
-	var rows []redRow
-	g.met.latency.Each(func(labels []string, h *metrics.Histogram) {
-		rows = append(rows, redRow{
-			node: labels[0], endpoint: labels[1],
-			count: h.Count(), p50: h.Quantile(0.5), p99: h.Quantile(0.99),
-		})
-	})
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].node != rows[j].node {
-			return rows[i].node < rows[j].node
+	byKey := make(map[string]*redRow)
+	var rows []*redRow
+	row := func(ls promtext.Labels) *redRow {
+		node, _ := ls.Get("node")
+		endpoint, _ := ls.Get("endpoint")
+		r := byKey[node+"\x00"+endpoint]
+		if r == nil {
+			r = &redRow{node: node, endpoint: endpoint}
+			byKey[node+"\x00"+endpoint] = r
+			rows = append(rows, r)
 		}
-		return rows[i].endpoint < rows[j].endpoint
-	})
-	for _, row := range rows {
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%.1fms</td><td>%.1fms</td></tr>\n",
-			html.EscapeString(row.node), html.EscapeString(row.endpoint),
-			row.count, row.p50*1000, row.p99*1000)
+		return r
+	}
+	for _, d := range tsdb.Delta(older, newer, "prefcover_gateway_request_seconds_count", nil) {
+		row(d.Labels).count = d.Increase
+	}
+	for _, d := range tsdb.Delta(older, newer, "prefcover_gateway_request_seconds_bucket", nil) {
+		r := row(d.Labels)
+		r.buckets = append(r.buckets, d)
+	}
+	ms := func(q float64, buckets []tsdb.SeriesDelta) string {
+		if v, ok := tsdb.Quantile(q, buckets); ok {
+			return fmt.Sprintf("%.1fms", v*1000)
+		}
+		return "-"
+	}
+	for _, r := range rows { // snapshot order: sorted by node, then endpoint
+		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%.0f</td><td>%s</td><td>%s</td></tr>\n",
+			html.EscapeString(r.node), html.EscapeString(r.endpoint),
+			r.count, ms(0.5, r.buckets), ms(0.99, r.buckets))
 	}
 	b.WriteString("</table>\n")
 

@@ -5,11 +5,10 @@ package cluster
 // prefcover_node_*{node="..."} and publishes exact cluster-wide sums as
 // prefcover_cluster_*, all from one locked snapshot so the aggregate
 // always equals the sum of the per-node series it was derived from. The
-// same snapshots feed a tsdb ring (statusz rate/sparkline columns) and
-// the cluster-level SLO monitor (/debug/slo on the gateway).
+// gateway's /metrics and its cluster-level SLO monitor (/debug/slo, the
+// statusz rate/sparkline columns) read the same combined snapshot.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,7 +17,6 @@ import (
 	"sync"
 
 	"prefcover/internal/apiclient"
-	"prefcover/internal/metrics"
 	"prefcover/internal/promtext"
 	"prefcover/internal/slo"
 )
@@ -47,9 +45,8 @@ func (o Options) federationEnabled() bool {
 
 // newMonitor builds the gateway's cluster-level SLO monitor. Its scrape
 // callback pulls every node, refreshes the federation snapshot, and
-// returns exactly what an external scraper would read from the
-// gateway's /metrics — so the SLO evaluator and the wire format can
-// never disagree.
+// returns the snapshot the gateway's /metrics renders — so the SLO
+// evaluator and the wire format can never disagree.
 func (g *Gateway) newMonitor() *slo.Monitor {
 	var notifier slo.Notifier
 	if g.opts.AlertWebhook != "" {
@@ -84,10 +81,9 @@ func (g *Gateway) ScrapeNodes() {
 }
 
 // scrapeFederated pulls /metrics from every member node concurrently,
-// folds the results into the federation snapshot, and assembles the
-// full federated view (gateway registry + node re-exports + cluster
-// sums). It fails only when every node scrape fails — a partial
-// cluster still yields a usable aggregate.
+// folds the results into the federation snapshot, and returns the full
+// federated view (see snapshot). It fails only when every node scrape
+// fails — a partial cluster still yields a usable aggregate.
 func (g *Gateway) scrapeFederated() (*promtext.Metrics, error) {
 	g.mu.Lock()
 	urls := make([]string, 0, len(g.nodes))
@@ -137,11 +133,7 @@ func (g *Gateway) scrapeFederated() (*promtext.Metrics, error) {
 	if okCount == 0 && len(urls) > 0 {
 		return nil, fmt.Errorf("cluster: all %d node scrapes failed: %w", len(urls), lastErr)
 	}
-	var buf bytes.Buffer
-	if err := g.writeFederated(&buf); err != nil {
-		return nil, err
-	}
-	return promtext.Parse(&buf)
+	return g.snapshot(), nil
 }
 
 // scrapeNode fetches and parses one node's /metrics. The transport's
@@ -166,19 +158,11 @@ func (g *Gateway) scrapeNode(url string) (*promtext.Metrics, error) {
 	return promtext.Parse(resp.Body)
 }
 
-// writeFederated renders the gateway's complete metric surface: its own
-// registry first, then the per-node re-exports and cluster aggregates
-// derived from the latest federation snapshot.
-func (g *Gateway) writeFederated(w io.Writer) error {
-	if err := g.reg.WritePrometheus(w); err != nil {
-		return err
-	}
-	for _, f := range g.federatedFamilies() {
-		if err := promtext.WriteFamily(w, &f); err != nil {
-			return err
-		}
-	}
-	return nil
+// snapshot reads the gateway's complete metric surface: its own registry
+// first, then the per-node re-exports and cluster aggregates derived from
+// the latest federation snapshot (none while federation is off).
+func (g *Gateway) snapshot() *promtext.Metrics {
+	return &promtext.Metrics{Families: append(g.reg.Snapshot().Families, g.federatedFamilies()...)}
 }
 
 // federatedFamilies assembles the node and cluster families from the
@@ -302,18 +286,4 @@ func (g *Gateway) scrapeErrors() map[string]string {
 		out[u] = e
 	}
 	return out
-}
-
-// handleMetrics serves the gateway's /metrics: just the local registry
-// when federation is off, the full federated surface when on. Both
-// paths honour Accept-Encoding: gzip.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if g.monitor == nil {
-		g.reg.Handler().ServeHTTP(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	out := metrics.NegotiateGzip(w, r)
-	_ = g.writeFederated(out)
-	_ = out.Close()
 }

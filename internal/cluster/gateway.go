@@ -256,7 +256,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, version.Get())
 	})
-	mux.HandleFunc("/metrics", g.handleMetrics)
+	mux.Handle("/metrics", metrics.Handler(g.snapshot))
 	mux.HandleFunc("/debug/cluster", g.handleCluster)
 	mux.HandleFunc("/debug/statusz", g.handleStatusz)
 	mux.HandleFunc("/debug/traces", g.handleTraces)

@@ -38,7 +38,7 @@ func TestHandlerGzipNegotiation(t *testing.T) {
 				req.Header.Set("Accept-Encoding", tc.acceptEncoding)
 			}
 			rr := httptest.NewRecorder()
-			reg.Handler().ServeHTTP(rr, req)
+			Handler(reg.Snapshot).ServeHTTP(rr, req)
 			if rr.Code != 200 {
 				t.Fatalf("status = %d", rr.Code)
 			}
@@ -86,11 +86,11 @@ func TestGzipActuallyShrinks(t *testing.T) {
 		}
 	}
 	plain := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(plain, httptest.NewRequest("GET", "/metrics", nil))
+	Handler(reg.Snapshot).ServeHTTP(plain, httptest.NewRequest("GET", "/metrics", nil))
 	zipped := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
-	reg.Handler().ServeHTTP(zipped, req)
+	Handler(reg.Snapshot).ServeHTTP(zipped, req)
 	if zipped.Body.Len()*4 >= plain.Body.Len() {
 		t.Fatalf("gzip body %d not <1/4 of plain %d", zipped.Body.Len(), plain.Body.Len())
 	}

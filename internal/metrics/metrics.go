@@ -1,9 +1,10 @@
 // Package metrics is a dependency-free instrumentation core exposing
-// counters, gauges and histograms in the Prometheus text exposition
-// format (version 0.0.4). It implements just the subset the prefcover
-// serving layer needs — integer counters and gauges, float histograms,
-// and a fixed label set per metric family — with lock-free hot paths
-// (atomics) and a mutex only around series creation and scraping.
+// counters, gauges and histograms as promtext snapshots, served in the
+// Prometheus text exposition format (version 0.0.4). It implements just
+// the subset the prefcover serving layer needs — integer counters and
+// gauges, float histograms, and a fixed label set per metric family —
+// with lock-free hot paths (atomics) and a mutex only around series
+// creation and snapshots.
 //
 // The design follows the usual client-library shape: a Registry owns
 // metric families, a family (CounterVec, GaugeVec, HistogramVec) owns the
@@ -22,91 +23,69 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"prefcover/internal/promtext"
 )
 
 // DefBuckets are the default histogram buckets (seconds), matching the
 // Prometheus client defaults so dashboards carry over.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// Registry owns a set of metric families and renders them for scraping.
+// Registry owns a set of metric families and snapshots them for scraping.
 type Registry struct {
 	mu       sync.Mutex
-	families map[string]renderable
-}
-
-// renderable is one family's contribution to a scrape.
-type renderable interface {
-	render(w io.Writer) error
+	families map[string]*family
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]renderable)}
+	return &Registry{families: make(map[string]*family)}
 }
 
-func (r *Registry) register(name string, f renderable) {
-	if name == "" || strings.ContainsAny(name, " \t\n{}\"") {
-		panic("metrics: invalid metric name " + name)
-	}
+// Snapshot reads every registered family from its atomics: families
+// sorted by name, series by label values, labels in declared order with
+// a histogram's le last, so scrapes are deterministic and diffable. Each
+// value is read once; a snapshot taken under concurrent updates is
+// consistent per value, like any scrape.
+func (r *Registry) Snapshot() *promtext.Metrics {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.families[name]; dup {
-		panic("metrics: duplicate metric " + name)
-	}
-	r.families[name] = f
-}
-
-// WritePrometheus renders every registered family in the text exposition
-// format, families sorted by name and series by label values, so scrapes
-// are deterministic and diffable.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]renderable, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.Unlock()
-	for _, f := range fams {
-		if err := f.render(w); err != nil {
-			return err
-		}
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	out := make([]promtext.Family, len(fams))
+	for i, f := range fams {
+		out[i] = f.collect()
 	}
-	return nil
+	return &promtext.Metrics{Families: out}
 }
 
-// Handler serves the registry at GET /metrics semantics: any method is
-// answered (Prometheus only GETs), content type is the 0.0.4 text format.
-// Responses are gzip-encoded when the client advertises Accept-Encoding:
-// gzip — scrapes are highly repetitive text, and the cluster gateway's
-// federation loop pulls every node's /metrics each interval, so the
-// ~10x shrink matters on the wire.
-func (r *Registry) Handler() http.Handler {
+// WritePrometheus renders a snapshot in the text exposition format.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return promtext.Write(w, r.Snapshot())
+}
+
+// Handler serves the snapshots source returns at GET /metrics semantics:
+// any method is answered (Prometheus only GETs), content type is the
+// 0.0.4 text format. Responses are gzip-encoded when the client
+// advertises Accept-Encoding: gzip — scrapes are highly repetitive text,
+// and the cluster gateway's federation loop pulls every node's /metrics
+// each interval, so the ~10x shrink matters on the wire.
+func Handler(source func() *promtext.Metrics) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		out := NegotiateGzip(w, req)
-		_ = r.WritePrometheus(out)
-		_ = out.Close()
+		w.Header().Add("Vary", "Accept-Encoding")
+		if !acceptsGzip(req.Header.Get("Accept-Encoding")) {
+			_ = promtext.Write(w, source())
+			return
+		}
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzip.NewWriter(w)
+		_ = promtext.Write(zw, source())
+		_ = zw.Close()
 	})
-}
-
-// NegotiateGzip inspects the request's Accept-Encoding and, when gzip is
-// acceptable, sets the response headers and returns a gzip-compressing
-// writer; otherwise it returns the response writer pass-through. The
-// caller must Close the result after writing the body (a no-op in the
-// pass-through case). Shared by the registry handler and the gateway's
-// federated /metrics.
-func NegotiateGzip(w http.ResponseWriter, req *http.Request) io.WriteCloser {
-	w.Header().Add("Vary", "Accept-Encoding")
-	if req == nil || !acceptsGzip(req.Header.Get("Accept-Encoding")) {
-		return nopWriteCloser{w}
-	}
-	w.Header().Set("Content-Encoding", "gzip")
-	return gzip.NewWriter(w)
 }
 
 // acceptsGzip parses an Accept-Encoding header just far enough to honor
@@ -129,112 +108,104 @@ func acceptsGzip(header string) bool {
 	return false
 }
 
-// nopWriteCloser adapts the identity-encoding path to NegotiateGzip's
-// contract.
-type nopWriteCloser struct{ io.Writer }
-
-func (nopWriteCloser) Close() error { return nil }
-
-// family carries the shared naming/labeling machinery of the three vec
-// types. Series are keyed by the joined label values.
+// family carries the shared naming/labeling machinery of the vec types.
 type family struct {
 	name   string
 	help   string
 	typ    string
 	labels []string
+	upper  []float64 // histogram bucket bounds; nil for other types
 
 	mu     sync.Mutex
-	keys   []string // sorted series keys for deterministic rendering
-	series map[string]interface{}
+	byKey  map[string]*series
+	series []*series // sorted by key: the exposition order
 }
 
-func newFamily(name, help, typ string, labels []string) *family {
-	return &family{
-		name: name, help: help, typ: typ, labels: labels,
-		series: make(map[string]interface{}),
-	}
+// series is one label combination: its metric and the label sets its
+// samples carry, built once at creation so snapshots allocate none.
+type series struct {
+	key    string
+	metric any // *Counter, *Gauge, *FloatGauge or *Histogram
+	labels promtext.Labels
+	le     []promtext.Labels // histograms: labels plus le, one per bucket and +Inf
 }
 
-// seriesKey joins label values; 0x1f cannot appear in sane label values
-// and keeps the key unambiguous.
-func seriesKey(values []string) string { return strings.Join(values, "\x1f") }
-
-// splitSeriesKey inverts seriesKey; the unlabeled family's single series
-// has the empty key and zero label values.
-func splitSeriesKey(key string) []string {
-	if key == "" {
-		return nil
+// newFamily registers a family; names are unique per registry.
+func (r *Registry) newFamily(name, help, typ string, labels []string, upper []float64) *family {
+	if name == "" || strings.ContainsAny(name, " \t\n{}\"") {
+		panic("metrics: invalid metric name " + name)
 	}
-	return strings.Split(key, "\x1f")
+	f := &family{name: name, help: help, typ: typ, labels: labels, upper: upper, byKey: make(map[string]*series)}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.families[name]; dup {
+		panic("metrics: duplicate metric " + name)
+	}
+	r.families[name] = f
+	return f
 }
 
 // lookup returns the series for the label values, creating it with make
-// on first use.
-func (f *family) lookup(values []string, make func() interface{}) interface{} {
+// on first use. 0x1f cannot appear in sane label values and keeps the
+// joined key unambiguous.
+func (f *family) lookup(values []string, make func() any) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := seriesKey(values)
+	key := strings.Join(values, "\x1f")
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
-	if !ok {
-		s = make()
-		f.series[key] = s
-		f.keys = append(f.keys, key)
-		sort.Strings(f.keys)
+	if s, ok := f.byKey[key]; ok {
+		return s.metric
 	}
-	return s
+	s := &series{key: key, metric: make()}
+	for i, name := range f.labels {
+		s.labels = append(s.labels, promtext.Label{Name: name, Value: values[i]})
+	}
+	for i := 0; f.typ == "histogram" && i <= len(f.upper); i++ {
+		le := promtext.Label{Name: "le", Value: "+Inf"}
+		if i < len(f.upper) {
+			le.Value = strconv.FormatFloat(f.upper[i], 'g', -1, 64)
+		}
+		s.le = append(s.le, append(s.labels[:len(s.labels):len(s.labels)], le))
+	}
+	i := sort.Search(len(f.series), func(i int) bool { return f.series[i].key >= key })
+	f.series = append(f.series, nil)
+	copy(f.series[i+1:], f.series[i:])
+	f.series[i] = s
+	f.byKey[key] = s
+	return s.metric
 }
 
-// snapshot returns the series in rendering order.
-func (f *family) snapshot() []struct {
-	key string
-	s   interface{}
-} {
+// collect reads the family's series into one snapshot family.
+func (f *family) collect() promtext.Family {
+	out := promtext.Family{Name: f.name, Help: f.help, Type: f.typ}
+	var bucket, sum, count string
+	if f.typ == "histogram" {
+		bucket, sum, count = f.name+"_bucket", f.name+"_sum", f.name+"_count"
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]struct {
-		key string
-		s   interface{}
-	}, len(f.keys))
-	for i, key := range f.keys {
-		out[i] = struct {
-			key string
-			s   interface{}
-		}{key, f.series[key]}
-	}
-	return out
-}
-
-func (f *family) header(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
-		return err
-	}
-	return nil
-}
-
-// labelString renders {k="v",...} for a series key, with an optional
-// extra label (the histogram "le") appended.
-func (f *family) labelString(key string, extra ...string) string {
-	var parts []string
-	if key != "" || len(f.labels) > 0 {
-		values := strings.Split(key, "\x1f")
-		for i, name := range f.labels {
-			v := ""
-			if i < len(values) {
-				v = values[i]
+	for _, s := range f.series {
+		switch m := s.metric.(type) {
+		case *Counter:
+			out.Samples = append(out.Samples, promtext.Sample{Name: f.name, Labels: s.labels, Value: float64(m.Value()), Int: true})
+		case *Gauge:
+			out.Samples = append(out.Samples, promtext.Sample{Name: f.name, Labels: s.labels, Value: float64(m.Value()), Int: true})
+		case *FloatGauge:
+			out.Samples = append(out.Samples, promtext.Sample{Name: f.name, Labels: s.labels, Value: m.Value()})
+		case *Histogram:
+			cum := int64(0)
+			for i := range m.counts {
+				cum += m.counts[i].Load()
+				out.Samples = append(out.Samples, promtext.Sample{Name: bucket, Labels: s.le[i], Value: float64(cum), Int: true})
 			}
-			parts = append(parts, fmt.Sprintf("%s=%q", name, v))
+			out.Samples = append(out.Samples,
+				promtext.Sample{Name: sum, Labels: s.labels, Value: m.Sum()},
+				promtext.Sample{Name: count, Labels: s.labels, Value: float64(m.Count()), Int: true})
 		}
 	}
-	for i := 0; i+1 < len(extra); i += 2 {
-		parts = append(parts, fmt.Sprintf("%s=%q", extra[i], extra[i+1]))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return out
 }
 
 // Counter is a monotonically increasing integer.
@@ -259,35 +230,12 @@ type CounterVec struct{ f *family }
 
 // NewCounter registers a counter family.
 func (r *Registry) NewCounter(name, help string, labels ...string) *CounterVec {
-	cv := &CounterVec{f: newFamily(name, help, "counter", labels)}
-	r.register(name, cv)
-	return cv
+	return &CounterVec{f: r.newFamily(name, help, "counter", labels, nil)}
 }
 
 // With returns the series for the label values, creating it on first use.
 func (cv *CounterVec) With(labelValues ...string) *Counter {
-	return cv.f.lookup(labelValues, func() interface{} { return new(Counter) }).(*Counter)
-}
-
-// Each calls fn for every existing series with its label values, in the
-// deterministic rendering order.
-func (cv *CounterVec) Each(fn func(labelValues []string, c *Counter)) {
-	for _, e := range cv.f.snapshot() {
-		fn(splitSeriesKey(e.key), e.s.(*Counter))
-	}
-}
-
-func (cv *CounterVec) render(w io.Writer) error {
-	if err := cv.f.header(w); err != nil {
-		return err
-	}
-	for _, e := range cv.f.snapshot() {
-		c := e.s.(*Counter)
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", cv.f.name, cv.f.labelString(e.key), c.Value()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cv.f.lookup(labelValues, func() any { return new(Counter) }).(*Counter)
 }
 
 // Gauge is an integer that can go up and down.
@@ -313,27 +261,12 @@ type GaugeVec struct{ f *family }
 
 // NewGauge registers a gauge family.
 func (r *Registry) NewGauge(name, help string, labels ...string) *GaugeVec {
-	gv := &GaugeVec{f: newFamily(name, help, "gauge", labels)}
-	r.register(name, gv)
-	return gv
+	return &GaugeVec{f: r.newFamily(name, help, "gauge", labels, nil)}
 }
 
 // With returns the series for the label values, creating it on first use.
 func (gv *GaugeVec) With(labelValues ...string) *Gauge {
-	return gv.f.lookup(labelValues, func() interface{} { return new(Gauge) }).(*Gauge)
-}
-
-func (gv *GaugeVec) render(w io.Writer) error {
-	if err := gv.f.header(w); err != nil {
-		return err
-	}
-	for _, e := range gv.f.snapshot() {
-		g := e.s.(*Gauge)
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", gv.f.name, gv.f.labelString(e.key), g.Value()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return gv.f.lookup(labelValues, func() any { return new(Gauge) }).(*Gauge)
 }
 
 // FloatGauge is a float64 value that can be set and shifted; the value is
@@ -362,31 +295,16 @@ type FloatGaugeVec struct{ f *family }
 // NewFloatGauge registers a float gauge family — for values that are not
 // naturally integers (seconds of GC pause, uptime).
 func (r *Registry) NewFloatGauge(name, help string, labels ...string) *FloatGaugeVec {
-	gv := &FloatGaugeVec{f: newFamily(name, help, "gauge", labels)}
-	r.register(name, gv)
-	return gv
+	return &FloatGaugeVec{f: r.newFamily(name, help, "gauge", labels, nil)}
 }
 
 // With returns the series for the label values, creating it on first use.
 func (gv *FloatGaugeVec) With(labelValues ...string) *FloatGauge {
-	return gv.f.lookup(labelValues, func() interface{} { return new(FloatGauge) }).(*FloatGauge)
-}
-
-func (gv *FloatGaugeVec) render(w io.Writer) error {
-	if err := gv.f.header(w); err != nil {
-		return err
-	}
-	for _, e := range gv.f.snapshot() {
-		g := e.s.(*FloatGauge)
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", gv.f.name, gv.f.labelString(e.key), formatFloat(g.Value())); err != nil {
-			return err
-		}
-	}
-	return nil
+	return gv.f.lookup(labelValues, func() any { return new(FloatGauge) }).(*FloatGauge)
 }
 
 // Histogram accumulates float observations into fixed buckets. Bucket
-// counts are stored non-cumulatively and cumulated at render time; the
+// counts are stored non-cumulatively and cumulated at snapshot time; the
 // sum is a CAS loop over float64 bits so Observe never takes a lock.
 type Histogram struct {
 	upper   []float64
@@ -458,51 +376,8 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts
-// with the same linear interpolation Prometheus's histogram_quantile
-// applies: the target rank is located in its bucket and interpolated
-// between the bucket bounds. Observations in the +Inf overflow bucket clamp
-// to the highest finite bound; an empty histogram returns NaN. Estimates,
-// like histogram_quantile's, are only as fine as the bucket layout.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i, ub := range h.upper {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.upper[i-1]
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + (ub-lower)*frac
-		}
-		cum += n
-	}
-	if len(h.upper) == 0 {
-		return math.NaN()
-	}
-	return h.upper[len(h.upper)-1]
-}
-
 // HistogramVec is a histogram family partitioned by labels.
-type HistogramVec struct {
-	f     *family
-	upper []float64
-}
+type HistogramVec struct{ f *family }
 
 // NewHistogram registers a histogram family with the given bucket upper
 // bounds (nil means DefBuckets). Bounds must be strictly increasing.
@@ -515,58 +390,10 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64, labels ...
 			panic("metrics: histogram buckets not strictly increasing for " + name)
 		}
 	}
-	upper := append([]float64(nil), buckets...)
-	hv := &HistogramVec{f: newFamily(name, help, "histogram", labels), upper: upper}
-	r.register(name, hv)
-	return hv
+	return &HistogramVec{f: r.newFamily(name, help, "histogram", labels, append([]float64(nil), buckets...))}
 }
 
 // With returns the series for the label values, creating it on first use.
 func (hv *HistogramVec) With(labelValues ...string) *Histogram {
-	return hv.f.lookup(labelValues, func() interface{} { return newHistogram(hv.upper) }).(*Histogram)
-}
-
-// Each calls fn for every existing series with its label values, in the
-// deterministic rendering order. Used by read-side consumers (the statusz
-// page) that need the populated label combinations without knowing them
-// up front.
-func (hv *HistogramVec) Each(fn func(labelValues []string, h *Histogram)) {
-	for _, e := range hv.f.snapshot() {
-		fn(splitSeriesKey(e.key), e.s.(*Histogram))
-	}
-}
-
-func (hv *HistogramVec) render(w io.Writer) error {
-	if err := hv.f.header(w); err != nil {
-		return err
-	}
-	for _, e := range hv.f.snapshot() {
-		h := e.s.(*Histogram)
-		cum := int64(0)
-		for i, ub := range h.upper {
-			cum += h.counts[i].Load()
-			le := formatFloat(ub)
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", hv.f.name, hv.f.labelString(e.key, "le", le), cum); err != nil {
-				return err
-			}
-		}
-		cum += h.counts[len(h.upper)].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", hv.f.name, hv.f.labelString(e.key, "le", "+Inf"), cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", hv.f.name, hv.f.labelString(e.key), formatFloat(h.Sum())); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", hv.f.name, hv.f.labelString(e.key), h.Count()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// formatFloat renders floats the way Prometheus expects (shortest
-// round-trip representation).
-func formatFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
+	return hv.f.lookup(labelValues, func() any { return newHistogram(hv.f.upper) }).(*Histogram)
 }

@@ -109,7 +109,7 @@ func TestHandler(t *testing.T) {
 	r.NewCounter("hits_total", "Hits.").With().Inc()
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, req)
+	Handler(r.Snapshot).ServeHTTP(rec, req)
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("content type = %q", ct)
 	}

@@ -4,16 +4,29 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"prefcover/internal/tsdb"
 )
 
-// Quantile / Each / exemplar edge cases (ISSUE 7 satellite): the statusz
-// and profilez read paths lean on exactly these corners.
+// Quantile and exemplar edge cases: the statusz and SLO read paths lean
+// on exactly these corners.
+
+// quantile reads a registry histogram the way statusz does without a
+// monitor: tsdb.Quantile over the since-boot bucket deltas of a snapshot,
+// NaN when there is no value.
+func quantile(r *Registry, name string, q float64) float64 {
+	v, ok := tsdb.Quantile(q, tsdb.Delta(nil, r.Snapshot(), name+"_bucket", nil))
+	if !ok {
+		return math.NaN()
+	}
+	return v
+}
 
 func TestQuantileEmptyHistogramIsNaN(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("t_q_empty", "h", []float64{1, 2}).With()
+	r.NewHistogram("t_q_empty", "h", []float64{1, 2}).With()
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); !math.IsNaN(got) {
+		if got := quantile(r, "t_q_empty", q); !math.IsNaN(got) {
 			t.Errorf("Quantile(%g) on empty histogram = %g, want NaN", q, got)
 		}
 	}
@@ -23,7 +36,7 @@ func TestQuantileNaNInput(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("t_q_nan", "h", []float64{1}).With()
 	h.Observe(0.5)
-	if got := h.Quantile(math.NaN()); !math.IsNaN(got) {
+	if got := quantile(r, "t_q_nan", math.NaN()); !math.IsNaN(got) {
 		t.Errorf("Quantile(NaN) = %g, want NaN", got)
 	}
 }
@@ -35,13 +48,13 @@ func TestQuantileSingleBucket(t *testing.T) {
 		h.Observe(5)
 	}
 	// All mass sits in [0,10]; interpolation is linear across the bucket.
-	if got := h.Quantile(0.5); got != 5 {
+	if got := quantile(r, "t_q_single", 0.5); got != 5 {
 		t.Errorf("p50 = %g, want 5", got)
 	}
-	if got := h.Quantile(1); got != 10 {
+	if got := quantile(r, "t_q_single", 1); got != 10 {
 		t.Errorf("p100 = %g, want upper bound 10", got)
 	}
-	if got := h.Quantile(0); got != 0 {
+	if got := quantile(r, "t_q_single", 0); got != 0 {
 		t.Errorf("p0 = %g, want lower bound 0", got)
 	}
 }
@@ -50,10 +63,10 @@ func TestQuantileClampsOutOfRangeQ(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("t_q_clamp", "h", []float64{1, 2}).With()
 	h.Observe(0.5)
-	if got, want := h.Quantile(-3), h.Quantile(0); got != want {
+	if got, want := quantile(r, "t_q_clamp", -3), quantile(r, "t_q_clamp", 0); got != want {
 		t.Errorf("Quantile(-3) = %g, want %g (clamped to 0)", got, want)
 	}
-	if got, want := h.Quantile(7), h.Quantile(1); got != want {
+	if got, want := quantile(r, "t_q_clamp", 7), quantile(r, "t_q_clamp", 1); got != want {
 		t.Errorf("Quantile(7) = %g, want %g (clamped to 1)", got, want)
 	}
 }
@@ -66,62 +79,11 @@ func TestQuantileP100AndOverflowClamp(t *testing.T) {
 	h.Observe(99) // lands in +Inf overflow
 	// Any rank falling in the overflow bucket clamps to the highest
 	// finite bound rather than reporting +Inf.
-	if got := h.Quantile(1); got != 2 {
+	if got := quantile(r, "t_q_overflow", 1); got != 2 {
 		t.Errorf("p100 with overflow = %g, want clamp to 2", got)
 	}
-	if got := h.Quantile(0.99); got != 2 {
+	if got := quantile(r, "t_q_overflow", 0.99); got != 2 {
 		t.Errorf("p99 with overflow = %g, want clamp to 2", got)
-	}
-}
-
-func TestEachEmptyAndOrdering(t *testing.T) {
-	r := NewRegistry()
-	hv := r.NewHistogram("t_each", "h", []float64{1}, "endpoint")
-
-	// No series yet: Each must not call fn at all.
-	calls := 0
-	hv.Each(func([]string, *Histogram) { calls++ })
-	if calls != 0 {
-		t.Fatalf("Each on empty vec made %d calls", calls)
-	}
-
-	hv.With("/b").Observe(1)
-	hv.With("/a").Observe(2)
-	hv.With("/c").Observe(3)
-	var seen []string
-	hv.Each(func(lv []string, h *Histogram) {
-		if len(lv) != 1 {
-			t.Fatalf("label values = %v", lv)
-		}
-		seen = append(seen, lv[0])
-		if h.Count() != 1 {
-			t.Errorf("series %s count = %d", lv[0], h.Count())
-		}
-	})
-	want := []string{"/a", "/b", "/c"}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("Each order = %v, want %v (deterministic, sorted)", seen, want)
-		}
-	}
-}
-
-func TestCounterVecEachUnlabeled(t *testing.T) {
-	r := NewRegistry()
-	cv := r.NewCounter("t_each_counter", "c")
-	cv.With().Add(3)
-	calls := 0
-	cv.Each(func(lv []string, c *Counter) {
-		calls++
-		if len(lv) != 0 {
-			t.Errorf("unlabeled series has label values %v", lv)
-		}
-		if c.Value() != 3 {
-			t.Errorf("value = %d", c.Value())
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("Each made %d calls, want 1", calls)
 	}
 }
 

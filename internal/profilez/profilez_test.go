@@ -380,18 +380,20 @@ func TestKBucket(t *testing.T) {
 
 func TestUsageSinceMonotone(t *testing.T) {
 	start := TakeSample()
-	// Allocate measurably.
+	// Allocate measurably, in objects above 32 KiB: those are counted at
+	// allocation, small ones only when their span is refilled (see Usage).
+	const size = 40 << 10
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 4096))
+		sink = append(sink, make([]byte, size))
 	}
 	_ = sink
 	u := Since(start)
 	if u.WallNanos <= 0 {
 		t.Errorf("WallNanos = %d, want > 0", u.WallNanos)
 	}
-	if u.AllocBytes < 64*4096 {
-		t.Errorf("AllocBytes = %d, want >= %d", u.AllocBytes, 64*4096)
+	if u.AllocBytes < 64*size {
+		t.Errorf("AllocBytes = %d, want >= %d", u.AllocBytes, 64*size)
 	}
 	if u.AllocObjects < 64 {
 		t.Errorf("AllocObjects = %d, want >= 64", u.AllocObjects)

@@ -49,7 +49,9 @@ type Usage struct {
 	// solve ran, from the OS's rusage accounting.
 	CPUNanos int64 `json:"cpuNs"`
 	// AllocBytes / AllocObjects are heap allocation deltas
-	// (/gc/heap/allocs).
+	// (/gc/heap/allocs). Objects above 32 KiB are counted at allocation;
+	// small-object deltas lag by up to one span per size class, as the
+	// runtime counts those only when a P's mcache span is refilled.
 	AllocBytes   int64 `json:"allocBytes"`
 	AllocObjects int64 `json:"allocObjects"`
 	// GCPauseNanos is the stop-the-world pause time that elapsed during

@@ -1,18 +1,17 @@
-// Package promtext is a hand-rolled parser and canonical writer for the
-// Prometheus text exposition format (version 0.0.4) — exactly the dialect
-// our own metrics.Registry.WritePrometheus emits: `# HELP` / `# TYPE`
-// headers followed by `name{label="value",...} value` sample lines, with
-// Go-quoted label values (a superset of the format's \\ \" \n escapes)
-// and `%g` floats. It exists so the rest of the observability plane can
-// treat a scrape as data: internal/tsdb snapshots parsed scrapes into its
-// ring, and the cluster gateway re-exports parsed node scrapes under
-// federated names.
+// Package promtext is the metrics snapshot model (Metrics: families of
+// samples) and its Prometheus text exposition format (version 0.0.4):
+// `# HELP` / `# TYPE` headers followed by `name{label="value",...} value`
+// sample lines, with Go-quoted label values (a superset of the format's
+// \\ \" \n escapes). metrics.Registry.Snapshot builds a Metrics
+// straight from its atomics, internal/tsdb keeps snapshots in its ring,
+// and Write renders one for /metrics; Parse is only for bytes another
+// process wrote (the gateway's node scrapes, the serving benchmark).
 //
 // Parse canonicalizes: label pairs are sorted by name, a family is
 // synthesized (type "untyped") for samples with no preceding `# TYPE`,
-// and optional trailing timestamps are dropped. Write renders the
-// canonical form back out, so Parse∘Write is the identity on parsed
-// metrics — the property the fuzz target holds against arbitrary input.
+// and optional trailing timestamps are dropped. Parse∘Write is the
+// identity on parsed metrics — the property the fuzz target holds
+// against arbitrary input.
 package promtext
 
 import (
@@ -22,6 +21,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Label is one name="value" pair.
@@ -30,7 +30,8 @@ type Label struct {
 	Value string
 }
 
-// Labels is a sample's label set, sorted by label name.
+// Labels is a sample's label set: sorted by name when parsed, in declared
+// order (a histogram's le last) in a registry snapshot.
 type Labels []Label
 
 // Get returns the value of the named label.
@@ -112,6 +113,10 @@ type Sample struct {
 	Name   string
 	Labels Labels
 	Value  float64
+	// Int marks a value the registry holds as an integer (counters,
+	// integer gauges, bucket counts): Write prints it in decimal, as %g
+	// would print 3866624 as 3.866624e+06. Parse leaves it false.
+	Int bool
 }
 
 // Family groups the samples under one `# TYPE` header.
@@ -122,12 +127,13 @@ type Family struct {
 	Samples []Sample
 }
 
-// Metrics is one parsed scrape.
+// Metrics is one snapshot: a registry read or a parsed scrape. Families
+// must not change once Samples has been called.
 type Metrics struct {
 	Families []Family
-	// index maps sample name -> flat sample list, built by Parse so
-	// concurrent readers (tsdb queries, federation renders) never mutate.
-	index map[string][]Sample
+
+	indexOnce sync.Once
+	index     map[string][]Sample // sample name -> samples, built on first query
 }
 
 // Family returns the named family, or nil.
@@ -142,36 +148,17 @@ func (m *Metrics) Family(name string) *Family {
 
 // Samples returns every sample with the given sample name (for
 // histograms that means the suffixed names: "x_bucket", "x_sum", ...).
+// Safe for concurrent use.
 func (m *Metrics) Samples(name string) []Sample {
-	return m.index[name]
-}
-
-// NumSamples counts all samples across families.
-func (m *Metrics) NumSamples() int {
-	n := 0
-	for i := range m.Families {
-		n += len(m.Families[i].Samples)
-	}
-	return n
-}
-
-// buildIndex populates the sample-name index; called once at the end of
-// Parse and by builders that assemble Metrics by hand (federation).
-func (m *Metrics) buildIndex() {
-	m.index = make(map[string][]Sample)
-	for i := range m.Families {
-		for _, s := range m.Families[i].Samples {
-			m.index[s.Name] = append(m.index[s.Name], s)
+	m.indexOnce.Do(func() {
+		m.index = make(map[string][]Sample)
+		for i := range m.Families {
+			for _, s := range m.Families[i].Samples {
+				m.index[s.Name] = append(m.index[s.Name], s)
+			}
 		}
-	}
-}
-
-// Build assembles a Metrics from hand-constructed families (the
-// federation aggregator) and indexes it for queries.
-func Build(fams []Family) *Metrics {
-	m := &Metrics{Families: fams}
-	m.buildIndex()
-	return m
+	})
+	return m.index[name]
 }
 
 // belongs reports whether a sample named sampleName is part of family f
@@ -276,7 +263,6 @@ func Parse(r io.Reader) (*Metrics, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("promtext: %w", err)
 	}
-	m.buildIndex()
 	return m, nil
 }
 
@@ -385,55 +371,39 @@ func quotedEnd(s string) int {
 	return -1
 }
 
-// Write renders m in the canonical exposition form: HELP (when present)
-// and TYPE headers per family, Go-quoted label values, `%g` floats —
-// byte-compatible with what metrics.Registry emits.
+// Write renders m in the exposition format: HELP and TYPE headers per
+// family, then its samples with Go-quoted label values and %g floats
+// (decimal integers for Int samples). A registry snapshot renders the
+// registry's /metrics bytes; a parsed scrape renders its canonical form.
 func Write(w io.Writer, m *Metrics) error {
+	var b []byte
 	for i := range m.Families {
-		if err := WriteFamily(w, &m.Families[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFamily renders one family.
-func WriteFamily(w io.Writer, f *Family) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type); err != nil {
-		return err
-	}
-	for _, s := range f.Samples {
-		if err := writeSample(w, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeSample(w io.Writer, s Sample) error {
-	var b strings.Builder
-	b.WriteString(s.Name)
-	if len(s.Labels) > 0 {
-		b.WriteByte('{')
-		for i, l := range s.Labels {
-			if i > 0 {
-				b.WriteByte(',')
+		f := &m.Families[i]
+		b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
+		for _, s := range f.Samples {
+			b = append(b, s.Name...)
+			for j, l := range s.Labels {
+				if j == 0 {
+					b = append(b, '{')
+				} else {
+					b = append(b, ',')
+				}
+				b = append(b, l.Name...)
+				b = append(b, '=')
+				b = strconv.AppendQuote(b, l.Value)
 			}
-			b.WriteString(l.Name)
-			b.WriteByte('=')
-			b.WriteString(strconv.Quote(l.Value))
+			if len(s.Labels) > 0 {
+				b = append(b, '}')
+			}
+			b = append(b, ' ')
+			if s.Int {
+				b = strconv.AppendInt(b, int64(s.Value), 10)
+			} else {
+				b = strconv.AppendFloat(b, s.Value, 'g', -1, 64)
+			}
+			b = append(b, '\n')
 		}
-		b.WriteByte('}')
 	}
-	b.WriteByte(' ')
-	b.WriteString(FormatValue(s.Value))
-	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
-}
-
-// FormatValue renders a sample value the way the registry does (%g:
-// shortest round-trip representation; NaN/±Inf spelled out).
-func FormatValue(v float64) string {
-	return fmt.Sprintf("%g", v)
 }

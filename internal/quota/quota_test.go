@@ -153,8 +153,11 @@ func TestAllGroupsFullStopsEarly(t *testing.T) {
 }
 
 // TestQuotaInvariants: caps and floors hold, cover matches a fresh
-// evaluation, and the constrained cover never exceeds the unconstrained
-// greedy cover.
+// evaluation, and the constrained cover never exceeds the plain greedy's
+// certificate min_i min(1, C(S_i) + k·MaxRemainingGain_i), an upper bound
+// on the unconstrained optimum and so on any capped solution. (The plain
+// greedy's own cover is no such bound: greedy is not optimal, and seed
+// 8250002909494380108 has a capped cover above it.)
 func TestQuotaInvariants(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -197,11 +200,19 @@ func TestQuotaInvariants(t *testing.T) {
 		if err != nil || math.Abs(fresh-res.Cover) > 1e-9 {
 			return false
 		}
-		plain, err := greedy.Solve(g, greedy.Options{Variant: variant, K: k})
+		bound := 1.0
+		_, err = greedy.Solve(g, greedy.Options{Variant: variant, K: k, Progress: func(ev greedy.ProgressEvent) {
+			if ev.MaxRemainingGain != greedy.BoundUnavailable {
+				bound = math.Min(bound, ev.Cover+float64(k)*ev.MaxRemainingGain)
+			}
+		}})
 		if err != nil {
 			return false
 		}
-		return res.Cover <= plain.Cover+1e-9
+		return res.Cover <= bound+1e-9
+	}
+	if !prop(8250002909494380108) {
+		t.Error("seed 8250002909494380108: invariant violated")
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

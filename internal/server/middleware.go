@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"prefcover/internal/promtext"
 	"prefcover/internal/trace"
 )
 
@@ -218,12 +219,12 @@ func (s *Server) accessLog(r *http.Request, reqID, traceID string, sr *statusRec
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 }
 
-// handleMetrics refreshes the runtime and serving gauges and serves the
-// scrape.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// snapshot refreshes the runtime and serving gauges and reads the
+// registry: what /metrics serves and what the SLO monitor records.
+func (s *Server) snapshot() *promtext.Metrics {
 	s.met.updateRuntime(s.started)
 	s.updateServing()
-	s.met.registry.Handler().ServeHTTP(w, r)
+	return s.met.registry.Snapshot()
 }
 
 // updateServing snapshots the registry, cache and job queue into their

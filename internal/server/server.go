@@ -447,7 +447,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.instrument("/healthz", false, s.handleHealth))
 	mux.HandleFunc("/readyz", s.instrument("/readyz", false, s.handleReady))
 	mux.HandleFunc("/version", s.instrument("/version", false, s.handleVersion))
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/metrics", metrics.Handler(s.snapshot))
 	mux.HandleFunc("/debug/traces", s.handleTraces)
 	mux.HandleFunc("/debug/statusz", s.handleStatusz)
 	mux.Handle("/debug/profilez", s.capturer.Handler())

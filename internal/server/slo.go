@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"time"
 
 	"prefcover/internal/promtext"
@@ -9,10 +8,10 @@ import (
 )
 
 // SLOConfig wires the burn-rate monitor into a server: the daemon's
-// -slo-spec / -scrape-interval / -alert-webhook flags land here. The
-// monitor self-scrapes — it renders the server's own registry in-process
-// each interval (no HTTP hop, no listener dependency) and feeds the tsdb
-// ring the /debug/slo evaluations read from.
+// -slo-spec / -scrape-interval / -alert-webhook flags land here. Each
+// interval the monitor appends the registry snapshot /metrics would serve
+// (no HTTP hop, no text) to the tsdb ring that /debug/slo evaluations and
+// the statusz RED table read from.
 type SLOConfig struct {
 	// Spec lists the objectives (see internal/slo's grammar). An empty
 	// spec with a positive ScrapeInterval still snapshots history for
@@ -45,7 +44,7 @@ func (s *Server) newMonitor(cfg SLOConfig) *slo.Monitor {
 	}
 	return slo.NewMonitor(slo.MonitorOptions{
 		Spec:     cfg.Spec,
-		Scrape:   s.selfScrape,
+		Scrape:   func() (*promtext.Metrics, error) { return s.snapshot(), nil },
 		Interval: cfg.ScrapeInterval,
 		Eval: slo.EvalConfig{
 			FastWindow: cfg.FastWindow,
@@ -56,19 +55,6 @@ func (s *Server) newMonitor(cfg SLOConfig) *slo.Monitor {
 		Logger:      s.logger,
 		Notifier:    notifier,
 	})
-}
-
-// selfScrape produces one parsed snapshot of the server's registry,
-// refreshing the per-scrape gauges exactly like a /metrics pull so the
-// tsdb sees the same data an external scraper would.
-func (s *Server) selfScrape() (*promtext.Metrics, error) {
-	s.met.updateRuntime(s.started)
-	s.updateServing()
-	var buf bytes.Buffer
-	if err := s.met.registry.WritePrometheus(&buf); err != nil {
-		return nil, err
-	}
-	return promtext.Parse(&buf)
 }
 
 // Monitor exposes the SLO monitor; nil when the server was built without

@@ -15,21 +15,21 @@ import (
 	"strings"
 	"time"
 
-	"prefcover/internal/metrics"
+	"prefcover/internal/promtext"
+	"prefcover/internal/slo"
 	"prefcover/internal/trace"
+	"prefcover/internal/tsdb"
 	"prefcover/internal/version"
 )
 
 // endpointRED is one row of the per-endpoint RED table: rate, errors,
 // duration quantiles, derived from the request counters and latency
-// histograms at render time.
+// histograms of two snapshots.
 type endpointRED struct {
-	Endpoint string
-	Requests int64
-	Errors   int64 // 5xx responses
-	P50      float64
-	P90      float64
-	P99      float64
+	Endpoint      string
+	Requests      int64
+	Errors        int64  // 5xx responses
+	P50, P90, P99 string // rendered cells, "-" without observations
 	// ExemplarTrace is the trace ID of the slowest observation this
 	// histogram has seen (when that request was traced): the p99 cell
 	// links to it, turning a suspicious tail number into the exact
@@ -38,41 +38,39 @@ type endpointRED struct {
 }
 
 // redStats joins prefcover_http_requests_total (for counts and error
-// rates) with prefcover_http_request_duration_seconds (for quantiles),
-// one row per endpoint, sorted by request volume.
-func (s *Server) redStats() []endpointRED {
+// rates) with prefcover_http_request_duration_seconds (for quantiles)
+// between two snapshots (older nil: since boot), one row per endpoint,
+// sorted by request volume.
+func (s *Server) redStats(older, newer *promtext.Metrics) []endpointRED {
 	byEndpoint := make(map[string]*endpointRED)
-	row := func(endpoint string) *endpointRED {
+	row := func(labels promtext.Labels) *endpointRED {
+		endpoint, _ := labels.Get("endpoint")
 		r, ok := byEndpoint[endpoint]
 		if !ok {
-			r = &endpointRED{Endpoint: endpoint}
+			r = &endpointRED{Endpoint: endpoint, P50: "-", P90: "-", P99: "-"}
 			byEndpoint[endpoint] = r
 		}
 		return r
 	}
-	s.met.requests.Each(func(labels []string, c *metrics.Counter) {
-		if len(labels) != 2 {
-			return
+	for _, d := range tsdb.Delta(older, newer, "prefcover_http_requests_total", nil) {
+		r := row(d.Labels)
+		r.Requests += int64(d.Increase)
+		if code, _ := d.Labels.Get("code"); strings.HasPrefix(code, "5") {
+			r.Errors += int64(d.Increase)
 		}
-		r := row(labels[0])
-		n := c.Value()
-		r.Requests += n
-		if strings.HasPrefix(labels[1], "5") {
-			r.Errors += n
-		}
-	})
-	s.met.latency.Each(func(labels []string, h *metrics.Histogram) {
-		if len(labels) != 1 {
-			return
-		}
-		r := row(labels[0])
-		r.P50 = h.Quantile(0.50)
-		r.P90 = h.Quantile(0.90)
-		r.P99 = h.Quantile(0.99)
-		if _, id, ok := h.Exemplar(); ok {
+	}
+	buckets := make(map[*endpointRED][]tsdb.SeriesDelta)
+	for _, d := range tsdb.Delta(older, newer, "prefcover_http_request_duration_seconds_bucket", nil) {
+		r := row(d.Labels)
+		buckets[r] = append(buckets[r], d)
+	}
+	for r, b := range buckets {
+		r.P50, r.P90, r.P99 = quantileCell(tsdb.Quantile(0.50, b)), quantileCell(tsdb.Quantile(0.90, b)), quantileCell(tsdb.Quantile(0.99, b))
+		// The series exists (it is in the snapshot), so With creates none.
+		if _, id, ok := s.met.latency.With(r.Endpoint).Exemplar(); ok {
 			r.ExemplarTrace = id
 		}
-	})
+	}
 	rows := make([]endpointRED, 0, len(byEndpoint))
 	for _, r := range byEndpoint {
 		rows = append(rows, *r)
@@ -150,28 +148,28 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "<tr><td>prefcover_runtime_gc_pause_seconds_total</td><td>%.6f</td></tr>\n", float64(ms.PauseTotalNs)/1e9)
 	b.WriteString("</table>\n")
 
-	// Per-endpoint RED: rate (requests and req/s over uptime), errors, and
-	// duration quantiles interpolated from the live histograms.
-	b.WriteString("<h2>Endpoints (RED)</h2>\n")
+	// Per-endpoint RED: requests and req/s, errors, and duration
+	// quantiles interpolated from histogram bucket deltas, over the fast
+	// SLO window when a monitor records one, else since boot.
+	older, newer, elapsed, scope := slo.StatusWindow(s.monitor, s.met.registry, s.started)
+	fmt.Fprintf(&b, "<h2>Endpoints (RED, %s)</h2>\n", scope)
 	b.WriteString("<table border=\"1\" cellpadding=\"4\">\n<tr><th>endpoint</th><th>requests</th><th>rate/s</th><th>errors</th><th>error %</th><th>p50</th><th>p90</th><th>p99</th></tr>\n")
-	uptime := time.Since(s.started).Seconds()
-	for _, row := range s.redStats() {
+	for _, row := range s.redStats(older, newer) {
 		errPct := 0.0
 		if row.Requests > 0 {
 			errPct = 100 * float64(row.Errors) / float64(row.Requests)
 		}
 		rate := 0.0
-		if uptime > 0 {
-			rate = float64(row.Requests) / uptime
+		if elapsed > 0 {
+			rate = float64(row.Requests) / elapsed.Seconds()
 		}
-		p99 := quantileCell(row.P99)
+		p99 := row.P99
 		if row.ExemplarTrace != "" {
 			id := html.EscapeString(row.ExemplarTrace)
 			p99 = fmt.Sprintf("<a href=\"/debug/traces?trace=%s\" title=\"slowest observed request\">%s</a>", id, p99)
 		}
 		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%.3f</td><td>%d</td><td>%.1f%%</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
-			html.EscapeString(row.Endpoint), row.Requests, rate, row.Errors, errPct,
-			quantileCell(row.P50), quantileCell(row.P90), p99)
+			html.EscapeString(row.Endpoint), row.Requests, rate, row.Errors, errPct, row.P50, row.P90, p99)
 	}
 	b.WriteString("</table>\n")
 
@@ -236,10 +234,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(b.String()))
 }
 
-// quantileCell renders a latency quantile, "-" when the histogram is empty
-// (Quantile returns NaN).
-func quantileCell(v float64) string {
-	if v != v { // NaN
+// quantileCell renders a latency quantile, "-" when there is none.
+func quantileCell(v float64, ok bool) string {
+	if !ok {
 		return "-"
 	}
 	return fmt.Sprintf("%.4fs", v)

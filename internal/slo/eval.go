@@ -38,16 +38,13 @@ type EvalConfig struct {
 	// threshold on BOTH.
 	FastWindow time.Duration
 	SlowWindow time.Duration
-	// RequestsMetric is a counter with EndpointLabel and CodeLabel
-	// (default prefcover_http_requests_total{endpoint,code}); 5xx codes
-	// count against availability.
+	// RequestsMetric is a counter labeled endpoint and code (default
+	// prefcover_http_requests_total); 5xx codes count against
+	// availability.
 	RequestsMetric string
-	// LatencyMetric is a histogram with EndpointLabel
-	// (default prefcover_http_request_duration_seconds{endpoint}).
+	// LatencyMetric is a histogram labeled endpoint (default
+	// prefcover_http_request_duration_seconds).
 	LatencyMetric string
-	// EndpointLabel and CodeLabel name the labels on the two families.
-	EndpointLabel string
-	CodeLabel     string
 }
 
 // Evaluator defaults.
@@ -68,12 +65,6 @@ func (c EvalConfig) withDefaults() EvalConfig {
 	}
 	if c.LatencyMetric == "" {
 		c.LatencyMetric = "prefcover_http_request_duration_seconds"
-	}
-	if c.EndpointLabel == "" {
-		c.EndpointLabel = "endpoint"
-	}
-	if c.CodeLabel == "" {
-		c.CodeLabel = "code"
 	}
 	return c
 }
@@ -129,9 +120,10 @@ func evaluate(db *tsdb.DB, cfg EvalConfig, o Objective) Evaluation {
 }
 
 func windowBurn(db *tsdb.DB, cfg EvalConfig, o Objective, window time.Duration) WindowBurn {
-	match := map[string]string{cfg.EndpointLabel: o.Endpoint}
+	match := map[string]string{"endpoint": o.Endpoint}
 	if o.Kind.Latency() {
-		observed, ok := db.Quantile(cfg.LatencyMetric, match, o.Kind.Quantile(), window)
+		buckets, _, _ := db.Increases(cfg.LatencyMetric+"_bucket", match, window)
+		observed, ok := tsdb.Quantile(o.Kind.Quantile(), buckets)
 		if !ok {
 			return WindowBurn{}
 		}
@@ -144,7 +136,7 @@ func windowBurn(db *tsdb.DB, cfg EvalConfig, o Objective, window time.Duration) 
 	var total, errs float64
 	for _, d := range deltas {
 		total += d.Increase
-		if code, has := d.Labels.Get(cfg.CodeLabel); has && strings.HasPrefix(code, "5") {
+		if code, _ := d.Labels.Get("code"); strings.HasPrefix(code, "5") {
 			errs += d.Increase
 		}
 	}

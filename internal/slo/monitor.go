@@ -23,9 +23,9 @@ type MonitorOptions struct {
 	// Spec lists the objectives; an empty spec still scrapes (feeding
 	// statusz sparklines) but never alerts.
 	Spec Spec
-	// Scrape produces one metrics snapshot per tick. For the single-node
-	// server this renders its own registry in-process; the gateway feeds
-	// its cluster-aggregated families.
+	// Scrape produces one metrics snapshot per tick: the single-node
+	// server's registry snapshot, or the gateway's registry plus its
+	// federated families.
 	Scrape func() (*promtext.Metrics, error)
 	// Interval is the Start loop's cadence (default 10s). Tick can also
 	// be driven externally (the gateway calls it from its scrape loop,
@@ -35,8 +35,6 @@ type MonitorOptions struct {
 	Eval EvalConfig
 	// ForDuration is the two-way alert hysteresis (default 30s).
 	ForDuration time.Duration
-	// Capacity bounds the snapshot ring (default tsdb.DefaultCapacity).
-	Capacity int
 	// Alerts, when non-nil, receives the alert lifecycle as
 	// ALERTS{alertname,endpoint,severity,state} gauge series.
 	Alerts *metrics.GaugeVec
@@ -45,8 +43,6 @@ type MonitorOptions struct {
 	// Notifier, when non-nil, is called for every pending→firing and
 	// firing→resolved transition (not pending flaps).
 	Notifier Notifier
-	// NotifyTimeout bounds one notification delivery (default 10s).
-	NotifyTimeout time.Duration
 	// Now injects the clock (default time.Now).
 	Now func() time.Time
 }
@@ -54,19 +50,21 @@ type MonitorOptions struct {
 // DefaultInterval is the self-scrape cadence.
 const DefaultInterval = 10 * time.Second
 
+// notifyTimeout bounds one notification delivery.
+const notifyTimeout = 10 * time.Second
+
 // Monitor owns the tsdb ring and the alert set for one metrics source.
 // Tick is safe to call concurrently with Status and with itself.
 type Monitor struct {
-	scrape        func() (*promtext.Metrics, error)
-	interval      time.Duration
-	eval          EvalConfig
-	forDur        time.Duration
-	alertsGauge   *metrics.GaugeVec
-	logger        *slog.Logger
-	notifier      Notifier
-	notifyTimeout time.Duration
-	now           func() time.Time
-	db            *tsdb.DB
+	scrape      func() (*promtext.Metrics, error)
+	interval    time.Duration
+	eval        EvalConfig
+	forDur      time.Duration
+	alertsGauge *metrics.GaugeVec
+	logger      *slog.Logger
+	notifier    Notifier
+	now         func() time.Time
+	db          *tsdb.DB
 
 	mu          sync.Mutex
 	spec        Spec
@@ -102,32 +100,27 @@ func NewMonitor(opts MonitorOptions) *Monitor {
 	if forDur <= 0 {
 		forDur = DefaultForDuration
 	}
-	notifyTimeout := opts.NotifyTimeout
-	if notifyTimeout <= 0 {
-		notifyTimeout = 10 * time.Second
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
-		scrape:        opts.Scrape,
-		interval:      interval,
-		eval:          opts.Eval.withDefaults(),
-		forDur:        forDur,
-		alertsGauge:   opts.Alerts,
-		logger:        logger,
-		notifier:      opts.Notifier,
-		notifyTimeout: notifyTimeout,
-		now:           now,
-		db:            tsdb.New(tsdb.Options{Capacity: opts.Capacity, Now: now}),
-		spec:          opts.Spec,
-		alerts:        make(map[string]*Alert),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-		notifyCtx:     ctx,
-		cancel:        cancel,
+		scrape:      opts.Scrape,
+		interval:    interval,
+		eval:        opts.Eval.withDefaults(),
+		forDur:      forDur,
+		alertsGauge: opts.Alerts,
+		logger:      logger,
+		notifier:    opts.Notifier,
+		now:         now,
+		db:          tsdb.New(tsdb.Options{Now: now}),
+		spec:        opts.Spec,
+		alerts:      make(map[string]*Alert),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
+		notifyCtx:   ctx,
+		cancel:      cancel,
 	}
 	for _, o := range opts.Spec.Objectives {
 		m.alerts[o.String()] = &Alert{Objective: o, State: StateInactive}
@@ -138,6 +131,19 @@ func NewMonitor(opts MonitorOptions) *Monitor {
 // DB exposes the snapshot ring for read-side consumers (statusz
 // sparklines).
 func (m *Monitor) DB() *tsdb.DB { return m.db }
+
+// StatusWindow picks the snapshots a statusz RED table compares, and the
+// caption saying which: the monitor's fast window once its ring holds two
+// snapshots, else everything reg counted since started. m may be nil (no
+// monitor).
+func StatusWindow(m *Monitor, reg *metrics.Registry, started time.Time) (older, newer *promtext.Metrics, elapsed time.Duration, scope string) {
+	if m != nil {
+		if older, newer, elapsed, ok := m.db.Window(m.eval.FastWindow); ok {
+			return older, newer, elapsed, "fast SLO window, " + m.eval.FastWindow.String()
+		}
+	}
+	return nil, reg.Snapshot(), time.Since(started), "since boot"
+}
 
 // Spec returns the objective set.
 func (m *Monitor) Spec() Spec {
@@ -221,7 +227,7 @@ func (m *Monitor) Tick() {
 			m.notifyWG.Add(1)
 			go func(t Transition) {
 				defer m.notifyWG.Done()
-				ctx, cancel := context.WithTimeout(m.notifyCtx, m.notifyTimeout)
+				ctx, cancel := context.WithTimeout(m.notifyCtx, notifyTimeout)
 				defer cancel()
 				if err := m.notifier.Notify(ctx, t); err != nil {
 					m.logger.Warn("slo alert notification failed",

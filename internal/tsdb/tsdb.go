@@ -1,11 +1,12 @@
 // Package tsdb is a bounded in-memory time-series ring over periodic
-// metrics snapshots. Each Append stores one parsed scrape (a
-// *promtext.Metrics) with its capture time; windowed queries — counter
-// increases and rates, histogram-delta quantiles, gauge last/min/max —
-// are computed on demand by diffing the newest snapshot against the
-// newest snapshot at or before the window start. Nothing is
-// pre-aggregated: the ring holds raw scrapes, so any query the exposition
-// format can answer works retroactively over the retained window.
+// metrics snapshots. Each Append stores one snapshot (a registry read or
+// a parsed scrape, both *promtext.Metrics) with its capture time;
+// windowed queries — counter increases and rates, histogram-delta
+// quantiles — are computed on demand by diffing the newest snapshot
+// against the newest snapshot at or before the window start. Nothing is
+// pre-aggregated: the ring holds raw snapshots, so any query works
+// retroactively over the retained window. Delta and Quantile also answer
+// since-boot questions from a single snapshot.
 //
 // The clock is injectable (Options.Now) so the SLO alert lifecycle tests
 // can drive hours of burn deterministically in microseconds.
@@ -98,20 +99,6 @@ func (db *DB) Len() int {
 	return db.size
 }
 
-// Span reports the capture times of the oldest and newest snapshots.
-func (db *DB) Span() (oldest, newest time.Time, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.size == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	return db.at(0), db.at(db.size - 1), true
-}
-
-// at returns the i-th snapshot's time in oldest-first order; caller holds
-// the lock.
-func (db *DB) at(i int) time.Time { return db.nth(i).at }
-
 // nth returns the i-th snapshot in oldest-first order; caller holds the
 // lock.
 func (db *DB) nth(i int) snapshot {
@@ -121,237 +108,148 @@ func (db *DB) nth(i int) snapshot {
 	return db.ring[(db.head+i)%len(db.ring)]
 }
 
-// bounds picks the (older, newer) snapshot pair bracketing a lookback
+// Window picks the (older, newer) snapshot pair bracketing a lookback
 // window ending at the newest snapshot: newer is the newest snapshot,
-// older is the newest snapshot at or before newer.at−window (the oldest
-// retained snapshot when history is shorter than the window). Needs at
-// least two snapshots.
-func (db *DB) bounds(window time.Duration) (older, newer snapshot, ok bool) {
+// older is the newest snapshot at or before newer's time − window (the
+// oldest retained snapshot when history is shorter than the window).
+// elapsed is the time between the two — shorter than window when history
+// is thin, longer when snapshots are sparse. Needs two snapshots.
+func (db *DB) Window(window time.Duration) (older, newer *promtext.Metrics, elapsed time.Duration, ok bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.size < 2 {
-		return snapshot{}, snapshot{}, false
+		return nil, nil, 0, false
 	}
-	newer = db.nth(db.size - 1)
-	cutoff := newer.at.Add(-window)
-	older = db.nth(0)
+	last := db.nth(db.size - 1)
+	cutoff := last.at.Add(-window)
+	first := db.nth(0)
 	// Binary search for the last snapshot with at <= cutoff.
 	lo, hi := 0, db.size-2 // exclude newest
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		if !db.nth(mid).at.After(cutoff) {
-			older = db.nth(mid)
+			first = db.nth(mid)
 			lo = mid + 1
 		} else {
 			hi = mid - 1
 		}
 	}
-	return older, newer, true
+	return first.m, last.m, last.at.Sub(first.at), true
 }
 
-// SeriesDelta is one series' increase over a window.
+// SeriesDelta is one series' increase between two snapshots.
 type SeriesDelta struct {
 	Labels   promtext.Labels
 	Increase float64 // counter increase, reset-corrected
-	Last     float64 // value in the newest snapshot
 }
 
-// key returns the comparable identity of a label set.
-func labelsKey(ls promtext.Labels) string { return ls.Key() }
-
-// Increases computes the reset-corrected increase of every series of the
-// named sample (matching the label filter) over the window. A series
-// absent from the older snapshot counts its full newest value (a new
-// series starts from zero by counter contract). elapsed is the actual
-// time between the two snapshots used — shorter than window when history
-// is thin, longer when scrapes are sparse.
-func (db *DB) Increases(name string, match map[string]string, window time.Duration) (deltas []SeriesDelta, elapsed time.Duration, ok bool) {
-	older, newer, ok := db.bounds(window)
-	if !ok {
-		return nil, 0, false
-	}
+// Delta computes the reset-corrected increase of every series of the
+// named sample matching the label filter, from older to newer. A series
+// absent from older counts its full newer value (a new series starts
+// from zero by counter contract), so a nil older gives the increases
+// since the process started.
+func Delta(older, newer *promtext.Metrics, name string, match map[string]string) []SeriesDelta {
 	base := make(map[string]float64)
-	for _, s := range older.m.Samples(name) {
-		if s.Labels.Matches(match) {
-			base[labelsKey(s.Labels)] = s.Value
+	if older != nil {
+		for _, s := range older.Samples(name) {
+			if s.Labels.Matches(match) {
+				base[s.Labels.Key()] = s.Value
+			}
 		}
 	}
-	for _, s := range newer.m.Samples(name) {
+	var deltas []SeriesDelta
+	for _, s := range newer.Samples(name) {
 		if !s.Labels.Matches(match) {
 			continue
 		}
 		inc := s.Value
-		if old, had := base[labelsKey(s.Labels)]; had && s.Value >= old {
+		if old, had := base[s.Labels.Key()]; had && s.Value >= old {
 			inc = s.Value - old
 		}
-		// A newest value below the baseline means the counter reset
+		// A newer value below the baseline means the counter reset
 		// (process restart): the post-reset value is the best lower bound
 		// on the true increase.
-		deltas = append(deltas, SeriesDelta{Labels: s.Labels, Increase: inc, Last: s.Value})
+		deltas = append(deltas, SeriesDelta{Labels: s.Labels, Increase: inc})
 	}
-	return deltas, newer.at.Sub(older.at), true
+	return deltas
 }
 
-// IncreaseSum sums Increases over all matching series.
-func (db *DB) IncreaseSum(name string, match map[string]string, window time.Duration) (sum float64, elapsed time.Duration, ok bool) {
-	deltas, elapsed, ok := db.Increases(name, match, window)
+// Increases is Delta over the window's snapshot pair (see Window).
+func (db *DB) Increases(name string, match map[string]string, window time.Duration) (deltas []SeriesDelta, elapsed time.Duration, ok bool) {
+	older, newer, elapsed, ok := db.Window(window)
 	if !ok {
-		return 0, 0, false
+		return nil, 0, false
 	}
-	for _, d := range deltas {
-		sum += d.Increase
-	}
-	return sum, elapsed, true
+	return Delta(older, newer, name, match), elapsed, true
 }
 
-// RateSum is IncreaseSum per second.
+// RateSum is the summed increase of every matching series over the
+// window, per second.
 func (db *DB) RateSum(name string, match map[string]string, window time.Duration) (perSec float64, ok bool) {
-	sum, elapsed, ok := db.IncreaseSum(name, match, window)
+	deltas, elapsed, ok := db.Increases(name, match, window)
 	if !ok || elapsed <= 0 {
 		return 0, false
+	}
+	sum := 0.0
+	for _, d := range deltas {
+		sum += d.Increase
 	}
 	return sum / elapsed.Seconds(), true
 }
 
-// GaugeLast sums the newest value of every matching series of a gauge.
-func (db *DB) GaugeLast(name string, match map[string]string) (sum float64, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.size == 0 {
+// Quantile estimates the q-quantile of a histogram's observations from
+// the deltas of its _bucket series (Delta or Increases on name_bucket),
+// with the linear interpolation Prometheus's histogram_quantile applies:
+// matching series are merged per le bound, the target rank is located in
+// its bucket and interpolated between the bucket's bounds. q clamps to
+// [0, 1]; observations in the +Inf bucket clamp to the highest finite
+// bound. ok is false for a NaN q, a delta with no observations, or only
+// a +Inf bucket. Estimates are only as fine as the bucket layout.
+func Quantile(q float64, buckets []SeriesDelta) (float64, bool) {
+	if math.IsNaN(q) {
 		return 0, false
 	}
-	newest := db.nth(db.size - 1)
-	found := false
-	for _, s := range newest.m.Samples(name) {
-		if s.Labels.Matches(match) {
-			sum += s.Value
-			found = true
-		}
-	}
-	return sum, found
-}
-
-// GaugeMinMax scans every retained snapshot inside the window and returns
-// the min and max of the per-snapshot sums of matching series.
-func (db *DB) GaugeMinMax(name string, match map[string]string, window time.Duration) (min, max float64, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.size == 0 {
-		return 0, 0, false
-	}
-	cutoff := db.nth(db.size - 1).at.Add(-window)
-	min, max = math.Inf(1), math.Inf(-1)
-	for i := 0; i < db.size; i++ {
-		snap := db.nth(i)
-		if snap.at.Before(cutoff) {
-			continue
-		}
-		sum, found := 0.0, false
-		for _, s := range snap.m.Samples(name) {
-			if s.Labels.Matches(match) {
-				sum += s.Value
-				found = true
-			}
-		}
-		if !found {
-			continue
-		}
-		ok = true
-		if sum < min {
-			min = sum
-		}
-		if sum > max {
-			max = sum
-		}
-	}
-	if !ok {
-		return 0, 0, false
-	}
-	return min, max, true
-}
-
-// Quantile estimates the q-quantile of a histogram's observations inside
-// the window, from per-bucket increases — the same linear interpolation
-// metrics.Histogram.Quantile applies to cumulative counts, here applied
-// to the windowed delta. name is the family name (without _bucket).
-// Matching series are merged (summed per le) before interpolation.
-func (db *DB) Quantile(name string, match map[string]string, q float64, window time.Duration) (float64, bool) {
-	deltas, _, ok := db.Increases(name+"_bucket", match, window)
-	if !ok || math.IsNaN(q) {
-		return 0, false
-	}
-	// Merge all matching series by le bound.
-	type bkt struct {
-		le  float64
-		inc float64
-	}
+	type bkt struct{ le, cum float64 }
 	byLE := make(map[float64]float64)
-	for _, d := range deltas {
+	for _, d := range buckets {
 		leStr, has := d.Labels.Get("le")
 		if !has {
 			continue
 		}
-		le := math.Inf(1)
-		if leStr != "+Inf" {
-			v, err := parseFloat(leStr)
-			if err != nil {
-				continue
-			}
-			le = v
+		le, err := strconv.ParseFloat(leStr, 64) // "+Inf" parses as +Inf
+		if err != nil || math.IsNaN(le) {
+			continue
 		}
 		byLE[le] += d.Increase
 	}
-	if len(byLE) == 0 {
+	merged := make([]bkt, 0, len(byLE))
+	for le, cum := range byLE {
+		merged = append(merged, bkt{le, cum})
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].le < merged[j].le })
+	// Bucket counts are cumulative in the exposition format, and so are
+	// their deltas: the last bucket holds the total.
+	if len(merged) == 0 || merged[len(merged)-1].cum <= 0 {
 		return 0, false
 	}
-	buckets := make([]bkt, 0, len(byLE))
-	for le, inc := range byLE {
-		buckets = append(buckets, bkt{le, inc})
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	// Buckets are cumulative in the exposition format, and differences of
-	// cumulative counts stay cumulative — de-cumulate to per-bucket counts.
-	total := buckets[len(buckets)-1].inc
-	if total <= 0 {
-		return 0, false
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * total
-	for i, b := range buckets {
-		prevCum := 0.0
-		if i > 0 {
-			prevCum = buckets[i-1].inc
-		}
-		inBucket := b.inc - prevCum
-		if inBucket <= 0 {
-			continue
-		}
-		if b.inc >= rank {
+	rank := math.Min(math.Max(q, 0), 1) * merged[len(merged)-1].cum
+	prev := bkt{}
+	for i, b := range merged {
+		if b.cum-prev.cum > 0 && b.cum >= rank {
 			if math.IsInf(b.le, 1) {
-				// Overflow bucket: clamp to the highest finite bound.
-				if i > 0 {
-					return buckets[i-1].le, true
-				}
-				return 0, false
+				return prev.le, i > 0 // overflow: clamp to the highest finite bound
 			}
-			lower := 0.0
-			if i > 0 {
-				lower = buckets[i-1].le
-			}
-			frac := (rank - prevCum) / inBucket
-			return lower + (b.le-lower)*frac, true
+			return prev.le + (b.le-prev.le)*((rank-prev.cum)/(b.cum-prev.cum)), true
 		}
+		prev = b
 	}
-	// rank beyond every bucket (float fuzz): clamp like the overflow case.
-	last := buckets[len(buckets)-1]
-	if math.IsInf(last.le, 1) && len(buckets) > 1 {
-		return buckets[len(buckets)-2].le, true
+	// rank beyond every bucket (a counter reset broke cumulativity):
+	// clamp like the overflow case.
+	n := len(merged)
+	if math.IsInf(merged[n-1].le, 1) && n > 1 {
+		return merged[n-2].le, true
 	}
-	return last.le, true
+	return merged[n-1].le, true
 }
 
 // Point is one (time, value) pair of a series trajectory.
@@ -446,6 +344,3 @@ func Spark(values []float64) string {
 	}
 	return b.String()
 }
-
-// parseFloat parses a bucket bound.
-func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

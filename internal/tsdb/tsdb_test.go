@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -29,15 +28,25 @@ func mustParse(t *testing.T, s string) *promtext.Metrics {
 	return m
 }
 
-// scrape renders a live registry and parses it back — the same path the
-// monitor's self-scrape takes.
+// scrape snapshots a live registry — what the monitor records.
 func scrape(t *testing.T, reg *metrics.Registry) *promtext.Metrics {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	return reg.Snapshot()
+}
+
+// increaseSum sums Increases over all matching series.
+func increaseSum(db *DB, name string, match map[string]string, window time.Duration) (sum float64, elapsed time.Duration, ok bool) {
+	deltas, elapsed, ok := db.Increases(name, match, window)
+	for _, d := range deltas {
+		sum += d.Increase
 	}
-	return mustParse(t, buf.String())
+	return sum, elapsed, ok
+}
+
+// quantile is Quantile over the window's bucket increases.
+func quantile(db *DB, name string, match map[string]string, q float64, window time.Duration) (float64, bool) {
+	buckets, _, _ := db.Increases(name+"_bucket", match, window)
+	return Quantile(q, buckets)
 }
 
 func TestRateOverWindow(t *testing.T) {
@@ -73,7 +82,7 @@ func TestIncreaseCounterResetAndNewSeries(t *testing.T) {
 	clk.Advance(time.Minute)
 	// Series a reset (process restart) to 5; series b is brand new at 7.
 	db.AppendAt(clk.Now(), mustParse(t, "c{e=\"a\"} 5\nc{e=\"b\"} 7\n"))
-	sum, elapsed, ok := db.IncreaseSum("c", nil, time.Hour)
+	sum, elapsed, ok := increaseSum(db, "c", nil, time.Hour)
 	if !ok {
 		t.Fatal("not ok")
 	}
@@ -93,12 +102,12 @@ func TestWindowBaselineSelection(t *testing.T) {
 		clk.Advance(time.Minute)
 	}
 	// Newest is at t+4m value 40. A 2m window should anchor at t+2m (20).
-	sum, elapsed, ok := db.IncreaseSum("c", nil, 2*time.Minute)
+	sum, elapsed, ok := increaseSum(db, "c", nil, 2*time.Minute)
 	if !ok || sum != 20 || elapsed != 2*time.Minute {
 		t.Fatalf("2m window: sum=%g elapsed=%v ok=%v, want 20/2m", sum, elapsed, ok)
 	}
 	// A window longer than history clamps to the oldest snapshot.
-	sum, elapsed, ok = db.IncreaseSum("c", nil, time.Hour)
+	sum, elapsed, ok = increaseSum(db, "c", nil, time.Hour)
 	if !ok || sum != 40 || elapsed != 4*time.Minute {
 		t.Fatalf("1h window: sum=%g elapsed=%v ok=%v, want 40/4m", sum, elapsed, ok)
 	}
@@ -114,12 +123,12 @@ func TestRingEviction(t *testing.T) {
 	if db.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", db.Len())
 	}
-	oldest, newest, ok := db.Span()
-	if !ok || newest.Sub(oldest) != 3*time.Second {
-		t.Fatalf("span = %v..%v, want 3s apart", oldest, newest)
+	_, _, span, ok := db.Window(time.Hour)
+	if !ok || span != 3*time.Second {
+		t.Fatalf("span = %v, want 3s", span)
 	}
 	// Only snapshots 6..9 remain: max increase is 9-6=3.
-	sum, _, ok := db.IncreaseSum("c", nil, time.Hour)
+	sum, _, ok := increaseSum(db, "c", nil, time.Hour)
 	if !ok || sum != 3 {
 		t.Fatalf("post-eviction increase = %g, want 3", sum)
 	}
@@ -132,31 +141,6 @@ func TestOutOfOrderAppendDropped(t *testing.T) {
 	db.AppendAt(clk.Now().Add(-time.Minute), mustParse(t, "c 99\n"))
 	if db.Len() != 1 {
 		t.Fatalf("out-of-order append retained; Len = %d", db.Len())
-	}
-}
-
-func TestGaugeQueries(t *testing.T) {
-	clk := newFakeClock()
-	db := New(Options{Now: clk.Now})
-	for _, v := range []int{5, 9, 2, 7} {
-		db.AppendAt(clk.Now(), mustParse(t, fmt.Sprintf("g{n=\"a\"} %d\ng{n=\"b\"} 1\n", v)))
-		clk.Advance(10 * time.Second)
-	}
-	last, ok := db.GaugeLast("g", map[string]string{"n": "a"})
-	if !ok || last != 7 {
-		t.Fatalf("GaugeLast = %g, want 7", last)
-	}
-	// Sums across series: 7+1.
-	last, ok = db.GaugeLast("g", nil)
-	if !ok || last != 8 {
-		t.Fatalf("GaugeLast(all) = %g, want 8", last)
-	}
-	min, max, ok := db.GaugeMinMax("g", map[string]string{"n": "a"}, time.Hour)
-	if !ok || min != 2 || max != 9 {
-		t.Fatalf("GaugeMinMax = %g/%g, want 2/9", min, max)
-	}
-	if _, ok := db.GaugeLast("missing", nil); ok {
-		t.Fatal("GaugeLast on a missing series should not be ok")
 	}
 }
 
@@ -179,7 +163,7 @@ func TestHistogramDeltaQuantile(t *testing.T) {
 	}
 	db.Append(scrape(t, reg))
 
-	q, ok := db.Quantile("lat", map[string]string{"endpoint": "/v1/solve"}, 0.5, time.Hour)
+	q, ok := quantile(db, "lat", map[string]string{"endpoint": "/v1/solve"}, 0.5, time.Hour)
 	if !ok {
 		t.Fatal("Quantile not ok")
 	}
@@ -188,20 +172,20 @@ func TestHistogramDeltaQuantile(t *testing.T) {
 	if math.Abs(q-0.2) > 1e-9 {
 		t.Fatalf("p50 = %g, want 0.2", q)
 	}
-	q, _ = db.Quantile("lat", map[string]string{"endpoint": "/v1/solve"}, 0.99, time.Hour)
+	q, _ = quantile(db, "lat", map[string]string{"endpoint": "/v1/solve"}, 0.99, time.Hour)
 	if q <= 0.2 || q > 0.4 {
 		t.Fatalf("p99 = %g, want in (0.2, 0.4]", q)
 	}
 	// The whole-history quantile (baseline included) is dominated by the
 	// fast observations — confirms windowing changes the answer.
-	full := h.With("/v1/solve").Quantile(0.5)
+	full, _ := Quantile(0.5, Delta(nil, reg.Snapshot(), "lat_bucket", nil))
 	if full >= 0.1 {
 		t.Fatalf("sanity: cumulative p50 = %g, expected < 0.1", full)
 	}
 	// Empty window (no increases): not ok.
 	clk.Advance(time.Minute)
 	db.Append(scrape(t, reg))
-	if _, ok := db.Quantile("lat", nil, 0.5, 30*time.Second); ok {
+	if _, ok := quantile(db, "lat", nil, 0.5, 30*time.Second); ok {
 		t.Fatal("quantile over an empty delta should not be ok")
 	}
 }
@@ -213,7 +197,7 @@ func TestQuantileOverflowClamp(t *testing.T) {
 	clk.Advance(time.Minute)
 	// All observations land in the overflow bucket.
 	db.AppendAt(clk.Now(), mustParse(t, "# TYPE h histogram\nh_bucket{le=\"0.1\"} 0\nh_bucket{le=\"+Inf\"} 5\nh_sum 10\nh_count 5\n"))
-	q, ok := db.Quantile("h", nil, 0.5, time.Hour)
+	q, ok := quantile(db, "h", nil, 0.5, time.Hour)
 	if !ok || q != 0.1 {
 		t.Fatalf("overflow clamp = %g (ok=%v), want 0.1", q, ok)
 	}
@@ -259,11 +243,11 @@ func TestSpark(t *testing.T) {
 func TestNotEnoughHistory(t *testing.T) {
 	clk := newFakeClock()
 	db := New(Options{Now: clk.Now})
-	if _, _, ok := db.IncreaseSum("c", nil, time.Minute); ok {
+	if _, _, ok := increaseSum(db, "c", nil, time.Minute); ok {
 		t.Fatal("empty db should not answer")
 	}
 	db.Append(mustParse(t, "c 5\n"))
-	if _, _, ok := db.IncreaseSum("c", nil, time.Minute); ok {
+	if _, _, ok := increaseSum(db, "c", nil, time.Minute); ok {
 		t.Fatal("single snapshot cannot produce a delta")
 	}
 }
