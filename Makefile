@@ -25,7 +25,6 @@ FUZZ_TARGETS := \
 	./internal/trace:FuzzTraceparent \
 	./internal/promtext:FuzzPromText \
 	./internal/slo:FuzzSLOSpec \
-	./internal/kernel:FuzzSketchRoundTrip \
 	./internal/server:FuzzSolveResponseJSON \
 	./cmd/prefcover:FuzzGraphImport
 

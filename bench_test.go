@@ -326,8 +326,9 @@ func BenchmarkAblationIncremental(b *testing.B) {
 
 // BenchmarkGainKernels measures the per-variant marginal-gain kernels, the
 // innermost loop of everything above — the pointer-chasing reference engine
-// next to the flat kernel state — plus the solve-level strategies built on
-// the kernel: lazy, its lazyflat alias (the two must match), and sketch.
+// next to the flat kernel state — plus the solve-level strategy built on
+// the kernel: lazy and its lazyflat and sketch aliases (all three must
+// match).
 func BenchmarkGainKernels(b *testing.B) {
 	for _, variant := range []igraph.Variant{igraph.Independent, igraph.Normalized} {
 		g := peBenchGraph(b, 20_000, variant)
@@ -356,8 +357,9 @@ func BenchmarkGainKernels(b *testing.B) {
 	}
 
 	// Solve-level: the same ablation instance as BenchmarkAblationLazyVsScan
-	// (20k nodes, K=500) so lazy / lazyflat / sketch are directly
-	// comparable in BENCH_solver.json.
+	// (20k nodes, K=500). lazyflat and sketch are aliases of lazy; their
+	// rows keep their names so BENCH_solver.json stays comparable across
+	// the strategies they once named.
 	g := peBenchGraph(b, 20_000, igraph.Independent)
 	for _, strat := range []string{igreedy.StrategyLazy, igreedy.StrategyLazyFlat, igreedy.StrategySketch} {
 		b.Run(strat+"-solve", func(b *testing.B) {
@@ -369,9 +371,10 @@ func BenchmarkGainKernels(b *testing.B) {
 		})
 	}
 
-	// sketch-xlarge: 10x the ablation instance (200k nodes). The scan
-	// strategy cannot finish a K=500 solve here in bench time; the sketch's
-	// certified bounds keep the candidate pool almost entirely unevaluated.
+	// sketch-xlarge: 10x the ablation instance (200k nodes), solved by the
+	// sketch alias of lazy under its old row name. The scan strategy cannot
+	// finish a K=500 solve here in bench time; warm lazy copies the
+	// memoized heap and re-evaluates only the stale tops it pops.
 	xg := peBenchGraph(b, 200_000, igraph.Independent)
 	b.Run("sketch-xlarge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -180,7 +180,7 @@ func runSolve(ctx context.Context, args []string) error {
 		threshold  = fs.Float64("threshold", 0, "target cover in (0,1] (minimization mode)")
 		workers    = fs.Int("workers", 1, "solver goroutine fan-out (with -lazy=false, >1 selects the parallel scan)")
 		lazy       = fs.Bool("lazy", true, "use lazy (CELF) evaluation; false selects the scan (alias of -strategy)")
-		strategy   = fs.String("strategy", "", "explicit strategy: scan, parallel, lazy (default; lazyflat is an alias) or sketch; overrides -lazy")
+		strategy   = fs.String("strategy", "", "explicit strategy: scan, parallel or lazy (default; lazyflat and sketch are aliases); overrides -lazy")
 		stochastic = fs.Float64("stochastic", 0, "stochastic-greedy epsilon in (0,1); randomized, overrides -lazy")
 		seed       = fs.Int64("seed", 1, "seed for -stochastic")
 		pruneMinW  = fs.Float64("prune-min-weight", 0, "drop alternative edges below this weight before solving")

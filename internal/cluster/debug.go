@@ -9,6 +9,7 @@ import (
 
 	"prefcover/internal/promtext"
 	"prefcover/internal/slo"
+	"prefcover/internal/trace"
 	"prefcover/internal/tsdb"
 )
 
@@ -154,16 +155,17 @@ func (g *Gateway) dropStickyTo(node string) {
 	g.mu.Unlock()
 }
 
-// handleTraces dumps the gateway's flight recorder: Chrome trace JSON by
-// default, a text tree under Accept: text/plain.
+// handleTraces dumps the gateway's flight recorder with the node's
+// handler, so ?trace=, ?limit=, ?epoch=unix and Accept negotiation behave
+// the same on both; trace.Serve documents them.
 func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/plain") {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = g.tracer.WriteTree(w)
+	if r.Method != http.MethodGet {
+		g.methodNotAllowed(w, r, http.MethodGet)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = g.tracer.WriteChrome(w)
+	if status, err := trace.Serve(w, r, g.tracer); err != nil {
+		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), status, err)
+	}
 }
 
 // handleStatusz renders the one-page cluster dashboard: membership and

@@ -144,7 +144,7 @@ func (g *Gateway) scrapeNode(url string) (*promtext.Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	req, cancel := apiclient.WithTimeout(req, g.opts.ScrapeTimeout)
+	req, cancel := apiclient.WithTimeout(req, scrapeTimeout)
 	defer cancel()
 	resp, err := g.client.Do(req)
 	if err != nil {

@@ -24,8 +24,10 @@ const (
 	DefaultMaxAttempts   = 3
 	DefaultRetryBase     = 50 * time.Millisecond
 	DefaultMaxBodyBytes  = 256 << 20
-	DefaultScrapeTimeout = 5 * time.Second
 )
+
+// scrapeTimeout bounds one node /metrics pull under federation.
+const scrapeTimeout = 5 * time.Second
 
 // Options shapes a Gateway.
 type Options struct {
@@ -63,9 +65,6 @@ type Options struct {
 	// MaxBodyBytes caps a buffered inbound request body (bodies are held
 	// in memory so failover can resend them). 0 = DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// TraceCapacity sizes the gateway's flight-recorder ring (0 = trace
-	// package default).
-	TraceCapacity int
 
 	// ScrapeInterval turns on metrics federation: every interval the
 	// gateway pulls each node's /metrics, re-exports the families as
@@ -74,8 +73,6 @@ type Options struct {
 	// evaluator. 0 disables federation unless SLO asks for it (then the
 	// slo package's default cadence applies).
 	ScrapeInterval time.Duration
-	// ScrapeTimeout bounds one node /metrics pull (0 = 5s).
-	ScrapeTimeout time.Duration
 	// SLO lists cluster-level objectives evaluated against the
 	// prefcover_cluster_* aggregates (see internal/slo's grammar).
 	SLO slo.Spec
@@ -110,12 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if o.TraceCapacity <= 0 {
-		o.TraceCapacity = trace.DefaultCapacity
-	}
-	if o.ScrapeTimeout <= 0 {
-		o.ScrapeTimeout = DefaultScrapeTimeout
 	}
 	return o
 }
@@ -170,7 +161,7 @@ func New(opts Options) (*Gateway, error) {
 		opts:      opts,
 		ring:      NewRing(opts.VNodes),
 		reg:       metrics.NewRegistry(),
-		tracer:    trace.New(opts.TraceCapacity),
+		tracer:    trace.New(trace.DefaultCapacity),
 		logger:    opts.Logger,
 		start:     time.Now(),
 		nodes:     make(map[string]*nodeState),

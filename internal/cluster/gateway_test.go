@@ -2,9 +2,14 @@ package cluster
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
+
+	"prefcover/internal/apiclient"
+	"prefcover/internal/trace"
 )
 
 func TestNormalizeNodeURL(t *testing.T) {
@@ -155,5 +160,86 @@ func TestGatewayJoin(t *testing.T) {
 		gwURL+"/debug/cluster?action=join&node="+extra, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("double join = %d, want 409", resp.StatusCode)
+	}
+}
+
+// The gateway's /debug/traces answers the query a distributed-trace client
+// sends (prefcover remote -trace): ?trace=<id> keeps only that trace's
+// spans and ?epoch=unix stamps them in absolute Unix-epoch microseconds,
+// so they merge onto the client's own timeline.
+func TestGatewayTracesQuery(t *testing.T) {
+	fx := bootCluster(t, 2)
+	defer fx.close()
+	gwURL := fx.harness.GatewayURL()
+	const clicks = `{"id":"s1","purchase":"silver","clicks":["gold"]}
+{"id":"s2","purchase":"gold","clicks":["silver"]}
+`
+	before := float64(time.Now().UnixMicro())
+	var ids []string
+	for i := 0; i < 2; i++ {
+		tp := apiclient.NewTraceparent(true)
+		sc, err := trace.ParseTraceparent(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sc.TraceID)
+		req, err := http.NewRequest(http.MethodPost, gwURL+"/v1/pipeline?k=1", strings.NewReader(clicks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(trace.TraceparentHeader, tp)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pipeline %d through gateway = %d (%s)", i, resp.StatusCode, body)
+		}
+	}
+	after := float64(time.Now().UnixMicro())
+
+	resp, body := doGW(t, http.DefaultClient, http.MethodGet, gwURL+"/debug/traces?trace="+ids[0]+"&epoch=unix", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/traces = %d (%s)", resp.StatusCode, body)
+	}
+	var events []trace.ChromeEvent
+	if err := json.Unmarshal(body, &events); err != nil {
+		t.Fatalf("/debug/traces is not Chrome JSON: %v\n%s", err, body)
+	}
+	if len(events) == 0 {
+		t.Fatalf("no events for trace %s:\n%s", ids[0], body)
+	}
+	for _, ev := range events {
+		if got := ev.Args["traceID"]; got != ids[0] {
+			t.Errorf("event %q has trace %v, want only %s", ev.Name, got, ids[0])
+		}
+		if ev.TS < before || ev.TS > after {
+			t.Errorf("event %q at ts %.0f, want Unix-epoch µs in [%.0f, %.0f]", ev.Name, ev.TS, before, after)
+		}
+	}
+
+	// The text tree and the 406 for an unservable Accept come from the
+	// same handler as a node's.
+	req, _ := http.NewRequest(http.MethodGet, gwURL+"/debug/traces?format=tree&trace="+ids[1], nil)
+	tree, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(tree.Body)
+	tree.Body.Close()
+	if !strings.Contains(string(text), ids[1]) || strings.Contains(string(text), ids[0]) {
+		t.Errorf("tree for trace %s:\n%s", ids[1], text)
+	}
+	req, _ = http.NewRequest(http.MethodGet, gwURL+"/debug/traces", nil)
+	req.Header.Set("Accept", "image/png")
+	png, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	png.Body.Close()
+	if png.StatusCode != http.StatusNotAcceptable {
+		t.Errorf("Accept image/png = %d, want 406", png.StatusCode)
 	}
 }

@@ -54,9 +54,9 @@ type Graph struct {
 }
 
 // Memo returns the value memoized on g under key by SetMemo. Because a
-// graph is immutable, state derived from it alone — a solver's empty-set
-// gains, a coverage sketch — can live on it and is collected with it, so
-// no cache outside the graph has to learn when the graph goes away. Keys
+// graph is immutable, state derived from it alone — such as a solver's
+// empty-set gain heap — can live on it and is collected with it, so no
+// cache outside the graph has to learn when the graph goes away. Keys
 // are caller-defined types, as with context values. Memo and SetMemo are
 // functions rather than methods so they stay off the public Graph alias.
 func Memo(g *Graph, key any) (any, bool) { return g.memo.Load(key) }

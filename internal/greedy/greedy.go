@@ -15,11 +15,10 @@
 //     workers);
 //   - lazy (CELF) evaluation, the default: because C is monotone submodular
 //     in both variants, stale upper bounds stored in a max-heap let most
-//     Gain re-evaluations be skipped without changing the selection;
-//   - sketch: lazy evaluation whose stale bounds are first tightened with
-//     certified coverage sketches.
+//     Gain re-evaluations be skipped without changing the selection.
+//     lazyflat and sketch are aliases of it.
 //
-// Parallel, lazy and sketch run on the flat kernel state (internal/kernel).
+// Parallel and lazy run on the flat kernel state (internal/kernel).
 //
 // Determinism: ties are broken toward the smaller node id under every
 // strategy, so runs are reproducible and strategies are interchangeable.
@@ -243,17 +242,10 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 			sol.GainEvals += int64(n - kst.Size())
 			return kst.ScanPick(ctx, opts.Workers)
 		}
-	default: // StrategyLazy, StrategySketch
-		var sk *kernel.Sketch
-		if strategy == StrategySketch {
-			var err error
-			if sk, err = kernel.SketchFor(ctx, g, opts.Variant); err != nil {
-				return finalize(sol, eng, n), err
-			}
-		}
-		kp := kernel.NewPicker(ctx, kst, opts.Workers, sk)
+	default: // StrategyLazy
+		kp := kernel.NewPicker(ctx, kst, opts.Workers)
 		// The picker tracks exact-gain evaluations itself (the heap build
-		// may be satisfied from the memoized base gains with zero evals);
+		// may be satisfied from the memoized base heap with zero evals);
 		// sync its cumulative counter into the solution around every pick.
 		last := kp.Evals()
 		sol.GainEvals += last

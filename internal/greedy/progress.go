@@ -15,15 +15,11 @@ const (
 	// heap builds, and memoized base gains. It is the default strategy.
 	StrategyLazy       = "lazy"
 	StrategyStochastic = "stochastic"
-	// StrategyLazyFlat is an alias of StrategyLazy, kept so clients that
-	// named the kernel picker explicitly keep working; it reports as
-	// StrategyLazy.
+	// StrategyLazyFlat and StrategySketch are aliases of StrategyLazy,
+	// kept so clients that named the kernel picker or the retired
+	// sketch-bounded picker keep working; both report as StrategyLazy.
 	StrategyLazyFlat = "lazyflat"
-	// StrategySketch is StrategyLazy plus succinct coverage sketches: stale
-	// heap entries refresh with an O(sketch) certified upper bound and pay
-	// the exact O(degree) gain only when the bound cannot separate the top
-	// candidates. Selections remain byte-identical.
-	StrategySketch = "sketch"
+	StrategySketch   = "sketch"
 	// StrategyPinned marks selections forced by Options.Pinned; they are
 	// reported before the greedy fill begins.
 	StrategyPinned = "pinned"
@@ -110,12 +106,12 @@ type ProgressEvent struct {
 const BoundUnavailable = -1.0
 
 // strategy names the execution strategy the options select, with
-// StrategyLazyFlat and the empty default folded into StrategyLazy.
+// the empty default and StrategyLazy's aliases folded into StrategyLazy.
 func (o *Options) strategy() string {
 	switch {
 	case o.StochasticEpsilon > 0:
 		return StrategyStochastic
-	case o.Strategy == "", o.Strategy == StrategyLazyFlat:
+	case o.Strategy == "", o.Strategy == StrategyLazyFlat, o.Strategy == StrategySketch:
 		return StrategyLazy
 	default:
 		return o.Strategy

@@ -33,8 +33,9 @@ type Request struct {
 	Lazy *bool `json:"lazy,omitempty"`
 	// Workers sizes the solver's goroutine fan-out.
 	Workers int `json:"workers,omitempty"`
-	// Strategy selects the execution strategy (scan, parallel, lazy,
-	// lazyflat, sketch), exactly as greedy.Options.Strategy.
+	// Strategy selects the execution strategy (scan, parallel or lazy; the
+	// lazyflat and sketch aliases of lazy), exactly as
+	// greedy.Options.Strategy.
 	Strategy string `json:"strategy,omitempty"`
 	// Pins lists must-stock item labels retained before the greedy fill.
 	Pins []string `json:"pins,omitempty"`

@@ -16,37 +16,29 @@ import (
 
 // TestPickerBuildCancellation: a context canceled before the heap build
 // must surface on the first Pick, for both the cold (chunk-parallel gain
-// computation) and warm (memoized base gains) build paths, and for both
-// kernel modes.
+// computation) and warm (memoized base heap) build paths.
 func TestPickerBuildCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xca0))
 	g := graphtest.Random(rng, 500, 6, graph.Independent)
-	sk, err := kernel.BuildSketch(nil, g, graph.Independent, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for pass := 0; pass < 2; pass++ {
-		// Pass 0 hits the cold build (fresh graph, no cached base gains);
+		// Pass 0 hits the cold build (fresh graph, no cached base heap);
 		// pass 1 warms the cache first so the canceled build exercises the
 		// cache-hit path's polling loop.
 		if pass == 1 {
 			st := kernel.NewState(g, graph.Independent)
-			if p := kernel.NewPicker(context.Background(), st, 4, nil); p == nil {
+			if p := kernel.NewPicker(context.Background(), st, 4); p == nil {
 				t.Fatal("warm build failed")
 			}
 			st.Release()
 		}
-		for _, mode := range []*kernel.Sketch{nil, sk} {
-			st := kernel.NewState(g, graph.Independent)
-			p := kernel.NewPicker(ctx, st, 4, mode)
-			if _, _, _, _, err := p.Pick(); !errors.Is(err, context.Canceled) {
-				t.Fatalf("pass %d sketch=%v: Pick after canceled build: err = %v, want context.Canceled",
-					pass, mode != nil, err)
-			}
-			st.Release()
+		st := kernel.NewState(g, graph.Independent)
+		p := kernel.NewPicker(ctx, st, 4)
+		if _, _, _, _, err := p.Pick(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("pass %d: Pick after canceled build: err = %v, want context.Canceled", pass, err)
 		}
+		st.Release()
 	}
 }
 
@@ -64,7 +56,7 @@ func TestPickerMidPickCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	st := kernel.NewState(g, graph.Normalized)
 	defer st.Release()
-	p := kernel.NewPicker(ctx, st, 1, nil)
+	p := kernel.NewPicker(ctx, st, 1)
 	var picked []int32
 	for i := 0; i < 10; i++ {
 		v, _, _, ok, err := p.Pick()
@@ -107,7 +99,7 @@ func TestChunkParallelCancelUnderRace(t *testing.T) {
 			cancel() // races with the workers' stride polls, by design
 		}()
 		st := kernel.NewState(g, graph.Independent)
-		p := kernel.NewPicker(ctx, st, 8, nil)
+		p := kernel.NewPicker(ctx, st, 8)
 		v, _, _, ok, err := p.Pick()
 		wg.Wait()
 		switch {

@@ -2,13 +2,12 @@ package kernel
 
 import "prefcover/internal/graph"
 
-// Memoized reports whether base gains and a sketch are memoized on g under
-// variant. Exported for the external kernel_test package, whose tests drive
-// the memo through greedy, which imports kernel.
-func Memoized(g *graph.Graph, variant graph.Variant) (baseGains, sketch bool) {
-	_, baseGains = graph.Memo(g, baseGainsKey(variant))
-	_, sketch = graph.Memo(g, sketchKey(variant))
-	return baseGains, sketch
+// Memoized reports whether the base heap is memoized on g under variant.
+// Exported for the external kernel_test package, whose tests drive the memo
+// through greedy, which imports kernel.
+func Memoized(g *graph.Graph, variant graph.Variant) bool {
+	_, ok := graph.Memo(g, baseHeapKey(variant))
+	return ok
 }
 
 // FanOut exposes the worker-count clamp of the chunk-parallel gain fill.

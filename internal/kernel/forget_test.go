@@ -17,8 +17,8 @@ import (
 
 var bothVariants = []graph.Variant{graph.Independent, graph.Normalized}
 
-// warmMemo solves g under both variants with the lazy and sketch strategies,
-// which memoizes its base gains and sketches, and checks that it did.
+// warmMemo solves g under both variants with the lazy strategy and its
+// sketch alias, which memoizes its base heap, and checks that it did.
 func warmMemo(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	for _, variant := range bothVariants {
@@ -27,8 +27,8 @@ func warmMemo(t *testing.T, g *graph.Graph) {
 				t.Fatal(err)
 			}
 		}
-		if bg, sk := kernel.Memoized(g, variant); !bg || !sk {
-			t.Fatalf("%s: warm solves memoized base gains %v, sketch %v", variant, bg, sk)
+		if !kernel.Memoized(g, variant) {
+			t.Fatalf("%s: warm solves memoized no base heap", variant)
 		}
 	}
 }
@@ -79,12 +79,11 @@ func assertServesScanPrefix(t *testing.T, what string, reg *store.Registry, name
 	}
 }
 
-// TestRegistryReleasesKernelMemo: the kernel memoizes base gains and
-// sketches on the graph itself, so every way the registry lets go of a
-// graph — a re-PUT with different content, a re-PUT with the same content
-// (a new graph under the same hash), a Delete, an eviction — leaves the old
-// graph and its memo collectable, and the next solve serves the current
-// graph's scan prefix.
+// TestRegistryReleasesKernelMemo: the kernel memoizes its base heap on the
+// graph itself, so every way the registry lets go of a graph — a re-PUT
+// with different content, a re-PUT with the same content (a new graph under
+// the same hash), a Delete, an eviction — leaves the old graph and its memo
+// collectable, and the next solve serves the current graph's scan prefix.
 func TestRegistryReleasesKernelMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xf06))
 	newGraph := func() *graph.Graph { return graphtest.Random(rng, 120, 5, graph.Normalized) }
@@ -150,7 +149,7 @@ func TestRegistryReleasesKernelMemo(t *testing.T) {
 		t.Fatal("eviction kept the least recently used graph")
 	}
 	assertCollected(t, "eviction", evicted)
-	if bg, sk := kernel.Memoized(kept, graph.Independent); !bg || !sk {
+	if !kernel.Memoized(kept, graph.Independent) {
 		t.Error("eviction dropped a surviving graph's memo")
 	}
 }

@@ -5,20 +5,17 @@ import (
 )
 
 // entry is one lazy-heap candidate. The backing array is flat and pooled;
-// sift operations move 24-byte values, never pointers, and no interface
+// sift operations move 16-byte values, never pointers, and no interface
 // boxing occurs anywhere on the pick path.
 type entry struct {
 	// key is an admissible upper bound on the candidate's current marginal
-	// gain; equal to the exact gain when exact is set and round is current.
+	// gain; equal to the exact gain when round is current.
 	key float64
 	v   int32
-	// round is the |S| at which key was computed; -1 marks entries seeded
-	// from the cached S = {} gain vector under a pinned set (stale from
-	// birth, still admissible by submodularity).
+	// round is the |S| at which key was computed. Entries seeded from the
+	// memoized S = {} prefix carry round 0, so under a pinned set they are
+	// stale from birth, still admissible by submodularity.
 	round int32
-	// exact distinguishes a key that is the true gain at its round from a
-	// sketch upper bound; only exact fresh keys may be selected.
-	exact bool
 }
 
 // entryLess orders the max-heap by (key desc, id asc), so tie-breaks match
@@ -60,27 +57,24 @@ func heapify(h []entry) {
 
 // Picker is the data-oriented CELF picker (Leskovec et al. 2007), sound
 // because C is monotone submodular in both variants: a gain computed at an
-// earlier round only overestimates the current one. With a nil sketch it is
-// the lazy strategy: stale tops are re-evaluated exactly. With a sketch,
-// stale tops are first refreshed with the O(sketch) certified upper bound;
-// the exact O(degree) Gain runs only when that bound still tops the heap —
-// i.e. when the sketch cannot separate the leading candidates.
+// earlier round only overestimates the current one, so stale tops are
+// re-evaluated exactly and a fresh top is the true argmax.
 //
-// Selection is byte-identical to every other strategy in both modes: keys
-// are always admissible upper bounds, the heap order is (key desc, id asc),
-// and a candidate is returned only when its key is its exact gain at the
-// current round — so the argmax and its tie-break match the literal scan.
+// Selection is byte-identical to every other strategy: keys are always
+// admissible upper bounds, the heap order (key desc, id asc) is a strict
+// total order, and a candidate is returned only when its key is its exact
+// gain at the current round — so the argmax and its tie-break match the
+// literal scan, whatever the heap's array layout.
 type Picker struct {
 	ctx context.Context
 	st  *State
-	sk  *Sketch
 	h   []entry
 
 	// evals counts exact Gain evaluations (build + refreshes): the
 	// solver-level work measure, diffed into Solution.GainEvals.
 	evals int64
-	// reevals counts stale-top refreshes of either kind (sketch bound or
-	// exact), the heap-churn measure reported as ProgressEvent.Reevaluated.
+	// reevals counts stale-top refreshes, the heap-churn measure reported
+	// as ProgressEvent.Reevaluated.
 	reevals int64
 
 	// buildErr is set when the context fired during the heap build; the
@@ -90,45 +84,42 @@ type Picker struct {
 
 // NewPicker builds the lazy heap for the state's current retained set.
 // workers sizes the chunk-parallel gain evaluation on a cold build
-// (<= 0 means GOMAXPROCS); sk == nil selects flat-lazy, otherwise the
-// sketch-bounded picker. The heap storage comes from the state's pooled
+// (<= 0 means GOMAXPROCS). The heap storage comes from the state's pooled
 // buffers, so construction allocates nothing in steady state.
 //
-// Builds are cold only once per (graph, variant): the S = {} gain vector is
-// memoized, and later builds seed the heap from it — exact and fresh when
-// nothing is pinned, stale-but-admissible bounds otherwise.
-func NewPicker(ctx context.Context, st *State, workers int, sk *Sketch) *Picker {
-	p := &Picker{ctx: ctx, st: st, sk: sk}
+// Builds are cold only once per (graph, variant): the S = {} heap is
+// memoized, and later builds copy it — verbatim when nothing is pinned;
+// otherwise minus the pinned nodes and re-heapified, its keys then stale
+// but admissible bounds.
+func NewPicker(ctx context.Context, st *State, workers int) *Picker {
+	p := &Picker{ctx: ctx, st: st}
 	n := st.g.NumNodes()
 	if st.buf.entries == nil {
 		// Allocated on first use: states that only replay never need it.
 		st.buf.entries = make([]entry, 0, n)
 	}
 	entries := st.buf.entries[:0]
-	round := int32(st.size)
-	bg := cachedBaseGains(st.g, st.variant)
-	if bg == nil {
+	base := cachedBaseHeap(st.g, st.variant)
+	switch {
+	case base == nil:
 		scratch := st.buf.scratch
 		if err := parallelGains(ctx, st, scratch, workers); err != nil {
 			p.buildErr = err
 			return p
 		}
 		p.evals += int64(n - st.size)
+		round := int32(st.size)
 		for v := int32(0); v < int32(n); v++ {
 			if st.Retained(v) {
 				continue
 			}
-			entries = append(entries, entry{key: scratch[v], v: v, round: round, exact: true})
+			entries = append(entries, entry{key: scratch[v], v: v, round: round})
 		}
 		heapify(entries)
 		if st.size == 0 {
-			gains := make([]float64, n)
-			copy(gains, scratch)
-			heap := make([]entry, len(entries))
-			copy(heap, entries)
-			storeBaseGains(st.g, st.variant, &baseGains{gains: gains, heap: heap})
+			storeBaseHeap(st.g, st.variant, append([]entry(nil), entries...))
 		}
-	} else if st.size == 0 {
+	case st.size == 0:
 		// Cache hit, nothing pinned: the memoized heap is exactly the heap
 		// this build would produce (exact fresh gains at round 0), so the
 		// whole construction is one copy into the pooled backing array.
@@ -136,22 +127,21 @@ func NewPicker(ctx context.Context, st *State, workers int, sk *Sketch) *Picker 
 			p.buildErr = err
 			return p
 		}
-		entries = append(entries, bg.heap...)
-	} else {
+		entries = append(entries, base...)
+	default:
 		// Cache hit under pins: zero gain evaluations, but retained nodes
-		// must be excluded, so reseed from the gain vector — stale upper
-		// bounds (round -1) the pick loop will refresh lazily.
-		for v := int32(0); v < int32(n); v++ {
-			if v%cancelCheckStride == 0 {
+		// must be excluded, so copy the rest and re-heapify. Their round-0
+		// keys are stale upper bounds the pick loop refreshes lazily.
+		for i, e := range base {
+			if i%cancelCheckStride == 0 {
 				if err := ctxErr(ctx); err != nil {
 					p.buildErr = err
 					return p
 				}
 			}
-			if st.Retained(v) {
-				continue
+			if !st.Retained(e.v) {
+				entries = append(entries, e)
 			}
-			entries = append(entries, entry{key: bg.gains[v], v: v, round: -1, exact: true})
 		}
 		heapify(entries)
 	}
@@ -181,49 +171,29 @@ func (p *Picker) Pick() (v int32, gain, bound float64, ok bool, err error) {
 			}
 		}
 		top := &p.h[0]
-		switch {
-		case top.round == round && top.exact:
-			// True argmax: every other key is an admissible upper bound on
-			// its own gain and sorts below this exact value.
-			e := *top
-			last := len(p.h) - 1
-			p.h[0] = p.h[last]
-			p.h = p.h[:last]
-			if last > 0 {
-				siftDown(p.h, 0)
-			}
-			bound := 0.0
-			if len(p.h) > 0 {
-				bound = p.h[0].key
-			}
-			return e.v, e.key, bound, true, nil
-		case top.round != round:
-			// Stale. Flat-lazy recomputes exactly; the sketch picker first
-			// tries the O(sketch) bound — keys only tighten (min of two
-			// admissible bounds is admissible), so candidates the bound can
-			// separate never pay the O(degree) exact evaluation.
-			if p.sk != nil {
-				if b := p.sk.Bound(p.st, top.v); b < top.key {
-					top.key = b
-				}
-				top.exact = false
-			} else {
-				top.key = p.st.Gain(top.v)
-				top.exact = true
-				p.evals++
-			}
-			top.round = round
-			p.reevals++
-			siftDown(p.h, 0)
-		default:
-			// Fresh sketch bound still tops the heap: the sketch cannot
-			// separate the leading candidates, so fall back to exact.
+		if top.round != round {
+			// Stale: recompute exactly and let it sink to its place.
 			top.key = p.st.Gain(top.v)
-			top.exact = true
+			top.round = round
 			p.evals++
 			p.reevals++
 			siftDown(p.h, 0)
+			continue
 		}
+		// True argmax: every other key is an admissible upper bound on its
+		// own gain and sorts below this exact value.
+		e := *top
+		last := len(p.h) - 1
+		p.h[0] = p.h[last]
+		p.h = p.h[:last]
+		if last > 0 {
+			siftDown(p.h, 0)
+		}
+		bound := 0.0
+		if len(p.h) > 0 {
+			bound = p.h[0].key
+		}
+		return e.v, e.key, bound, true, nil
 	}
 	return 0, 0, 0, false, nil
 }

@@ -70,34 +70,26 @@ func alignedFloats(n int) []float64 {
 	return raw[off : off+n : off+n]
 }
 
-// baseGainsKey and sketchKey are the graph.Memo keys under which a
-// variant's base gains and sketch are memoized on their graph, so each
-// lives exactly as long as the graph it was derived from.
-type (
-	baseGainsKey graph.Variant
-	sketchKey    graph.Variant
-)
+// baseHeapKey is the graph.Memo key under which a variant's S = {} heap
+// is memoized on its graph, so it lives exactly as long as the graph it was
+// derived from.
+type baseHeapKey graph.Variant
 
-// baseGains is the memoized S = {} solve prefix for one (graph, variant):
-// the exact empty-set gain vector and the already-heapified lazy heap built
-// from it. By submodularity the gains are valid stale upper bounds for any
-// retained set, so a cache hit seeds a lazy heap with zero gain
-// evaluations — and with no pins the heap itself is reused verbatim,
-// turning steady-state heap builds from O(E) gain evaluations plus an O(n)
-// heapify into a single memcpy.
-type baseGains struct {
-	gains []float64
-	heap  []entry // heapified, round 0, exact; callers must copy before mutating
-}
-
-// cachedBaseGains returns the memoized S = {} solve prefix, or nil on miss.
-func cachedBaseGains(g *graph.Graph, variant graph.Variant) *baseGains {
-	if v, ok := graph.Memo(g, baseGainsKey(variant)); ok {
-		return v.(*baseGains)
+// cachedBaseHeap returns the memoized S = {} solve prefix for one (graph,
+// variant), or nil on miss: the lazy heap of exact empty-set gains,
+// heapified, every entry at round 0. By submodularity its keys are valid
+// stale upper bounds for any retained set, so a cache hit seeds a lazy heap
+// with zero gain evaluations — and with no pins the heap itself is reused
+// verbatim, turning steady-state heap builds from O(E) gain evaluations
+// plus an O(n) heapify into a single memcpy. Callers must copy it before
+// mutating.
+func cachedBaseHeap(g *graph.Graph, variant graph.Variant) []entry {
+	if v, ok := graph.Memo(g, baseHeapKey(variant)); ok {
+		return v.([]entry)
 	}
 	return nil
 }
 
-func storeBaseGains(g *graph.Graph, variant graph.Variant, bg *baseGains) {
-	graph.SetMemo(g, baseGainsKey(variant), bg)
+func storeBaseHeap(g *graph.Graph, variant graph.Variant, heap []entry) {
+	graph.SetMemo(g, baseHeapKey(variant), heap)
 }

@@ -1,8 +1,7 @@
 // Package kernel is the data-oriented rewrite of the solver hot path: flat
 // coverage state (a []uint64 retained bitset and cache-aligned I arrays),
-// an allocation-free lazy heap pooled by graph size, chunk-parallel gain
-// evaluation, and succinct per-node coverage sketches whose certified upper
-// bounds let the lazy picker skip most exact Gain recomputations.
+// an allocation-free lazy heap pooled by graph size and seeded from a
+// memoized empty-set heap, and chunk-parallel gain evaluation.
 //
 // Every kernel is numerically bit-identical to cover.Engine: the gain and
 // add loops use textually identical floating-point expressions in the same

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -33,6 +32,14 @@ const (
 func Kinds() []Kind {
 	return []Kind{KindCPU, KindHeap, KindGoroutine, KindMutex, KindBlock}
 }
+
+// snapshotKinds are the profiles the periodic loop and every trigger
+// capture: heap and goroutine. cpu is deliberately not among them — it is
+// exclusive and window-based, so it is on-demand only.
+var snapshotKinds = []Kind{KindHeap, KindGoroutine}
+
+// defaultCPUSeconds is the CPU capture window when a request names none.
+const defaultCPUSeconds = 5
 
 // ValidKind reports whether k names a supported profile.
 func ValidKind(k Kind) bool {
@@ -61,24 +68,12 @@ type Options struct {
 	// bound is exceeded.
 	MaxBytes int64
 	// Interval enables the periodic capture loop when > 0: every
-	// Interval the capturer snapshots PeriodicKinds.
+	// Interval the capturer snapshots heap and goroutine profiles.
 	Interval time.Duration
-	// PeriodicKinds are the profiles the periodic loop captures
-	// (default heap+goroutine; cpu is deliberately not periodic —
-	// it is exclusive and window-based, so it is trigger/on-demand).
-	PeriodicKinds []Kind
-	// CPUSeconds is the default CPU capture window (default 5s).
-	CPUSeconds float64
 	// Cooldown rate-limits trigger-based captures per trigger name
 	// (default 1m) so a storm of slow requests yields one snapshot,
 	// not hundreds.
 	Cooldown time.Duration
-	// MutexFraction and BlockRate, when > 0, are installed via
-	// runtime.SetMutexProfileFraction / runtime.SetBlockProfileRate at
-	// Start so mutex/block captures have data. Both default off: they
-	// tax every contended lock operation process-wide.
-	MutexFraction int
-	BlockRate     int
 	// Logger receives capture/eviction events (default slog.Default).
 	Logger *slog.Logger
 	// OnCapture, when set, observes every completed capture — the
@@ -140,14 +135,8 @@ func New(opts Options) *Capturer {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = 64 << 20
 	}
-	if opts.CPUSeconds <= 0 {
-		opts.CPUSeconds = 5
-	}
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = time.Minute
-	}
-	if len(opts.PeriodicKinds) == 0 {
-		opts.PeriodicKinds = []Kind{KindHeap, KindGoroutine}
 	}
 	log := opts.Logger
 	if log == nil {
@@ -162,15 +151,8 @@ func New(opts Options) *Capturer {
 	}
 }
 
-// Start installs mutex/block sampling rates if configured and launches
-// the periodic capture loop when Interval > 0.
+// Start launches the periodic capture loop when Interval > 0.
 func (c *Capturer) Start() {
-	if c.opts.MutexFraction > 0 {
-		runtime.SetMutexProfileFraction(c.opts.MutexFraction)
-	}
-	if c.opts.BlockRate > 0 {
-		runtime.SetBlockProfileRate(c.opts.BlockRate)
-	}
 	if c.opts.Interval <= 0 {
 		return
 	}
@@ -189,7 +171,7 @@ func (c *Capturer) loop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			for _, k := range c.opts.PeriodicKinds {
+			for _, k := range snapshotKinds {
 				if _, err := c.Capture(ctx, k, "periodic", 0); err != nil && ctx.Err() == nil {
 					c.log.Warn("profilez periodic capture failed", "kind", k, "error", err)
 				}
@@ -237,7 +219,7 @@ func (c *Capturer) Trigger(name string) {
 
 	go func() {
 		defer c.triggerWG.Done()
-		for _, k := range []Kind{KindHeap, KindGoroutine} {
+		for _, k := range snapshotKinds {
 			if _, err := c.Capture(context.Background(), k, name, 0); err != nil {
 				c.log.Warn("profilez trigger capture failed", "trigger", name, "kind", k, "error", err)
 			}
@@ -280,7 +262,7 @@ func (c *Capturer) Capture(ctx context.Context, kind Kind, trigger string, secon
 	case KindCPU:
 		window = seconds
 		if window <= 0 {
-			window = c.opts.CPUSeconds
+			window = defaultCPUSeconds
 		}
 		err = c.captureCPU(ctx, tmp, window)
 	default:

@@ -8,9 +8,7 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"log/slog"
-	"mime"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -257,81 +255,13 @@ func (m *serverMetrics) updateRuntime(started time.Time) {
 	m.uptime.With().Set(time.Since(started).Seconds())
 }
 
-// handleTraces dumps the flight-recorder ring: Chrome trace-event JSON by
-// default (load in chrome://tracing or Perfetto), the human-readable tree
-// for Accept: text/plain (or the legacy ?format=tree knob).
-//
-//	?trace=<id>  only roots with that trace ID (request ID or W3C trace ID)
-//	?limit=N     newest N traces
-//	?epoch=unix  absolute Unix-epoch microseconds instead of
-//	             earliest-root-relative — what lets a client merge these
-//	             events with its own on one timeline
+// handleTraces dumps the flight-recorder ring; trace.Serve documents the
+// representations and query knobs.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if !s.allowMethods(w, r, http.MethodGet) {
 		return
 	}
-	q := r.URL.Query()
-	roots := s.tracer.Snapshot()
-	if id := q.Get("trace"); id != "" {
-		kept := roots[:0]
-		for _, root := range roots {
-			if root.TraceID() == id {
-				kept = append(kept, root)
-			}
-		}
-		roots = kept
+	if status, err := trace.Serve(w, r, s.tracer); err != nil {
+		s.writeError(w, r, status, err)
 	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
-			return
-		}
-		if n < len(roots) {
-			roots = roots[len(roots)-n:] // ring is oldest-first; keep the newest N
-		}
-	}
-	tree := q.Get("format") == "tree"
-	if !tree {
-		var err error
-		if tree, err = treeFromAccept(r.Header.Get("Accept")); err != nil {
-			s.writeError(w, r, http.StatusNotAcceptable, err)
-			return
-		}
-	}
-	if tree {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, root := range roots {
-			_ = trace.WriteTreeSpan(w, root)
-		}
-		return
-	}
-	var epoch time.Time
-	if q.Get("epoch") == "unix" {
-		epoch = time.Unix(0, 0)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = trace.WriteChromeEvents(w, trace.ChromeEvents(roots, epoch))
-}
-
-// treeFromAccept resolves the /debug/traces representation: JSON (the
-// default, also */*) or the text tree. An Accept that matches neither is a
-// 406.
-func treeFromAccept(header string) (bool, error) {
-	if strings.TrimSpace(header) == "" {
-		return false, nil
-	}
-	for _, part := range strings.Split(header, ",") {
-		mt, _, err := mime.ParseMediaType(part)
-		if err != nil {
-			continue
-		}
-		switch mt {
-		case "application/json", "application/*", "*/*":
-			return false, nil
-		case "text/plain", "text/*":
-			return true, nil
-		}
-	}
-	return false, fmt.Errorf("not acceptable %q (use application/json or text/plain)", header)
 }

@@ -28,7 +28,7 @@ func TestStrategyLabelCompat(t *testing.T) {
 		"&lazy=0":            "scan",
 		"&lazy=false":        "scan",
 		"&lazy=0&workers=3":  "parallel",
-		"&strategy=sketch":   "sketch",
+		"&strategy=sketch":   "lazy",
 	} {
 		before := s.met.solves.With(want, "ok").Value()
 		resp, data := doReq(t, http.MethodPost, ts.URL+"/v1/solve?variant=i&k=5"+query, jsonHdr, body)
@@ -39,8 +39,10 @@ func TestStrategyLabelCompat(t *testing.T) {
 			t.Errorf("%q: %d solves counted under strategy %q, want 1", query, got, want)
 		}
 	}
-	if got := s.met.solves.With("lazyflat", "ok").Value(); got != 0 {
-		t.Errorf("%d solves counted under the lazyflat alias", got)
+	for _, alias := range []string{"lazyflat", "sketch"} {
+		if got := s.met.solves.With(alias, "ok").Value(); got != 0 {
+			t.Errorf("%d solves counted under the %s alias", got, alias)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime"
+	"net/http"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -26,27 +29,21 @@ type ChromeEvent struct {
 	Args  map[string]interface{} `json:"args,omitempty"`
 }
 
-// WriteChrome renders the completed traces in Chrome trace-event JSON
-// (array form), one event per line. Load the output in chrome://tracing
-// or https://ui.perfetto.dev. Each root trace gets its own tid so
-// concurrent requests render as separate tracks.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	return writeChromeSpans(w, t.Snapshot(), time.Time{})
-}
-
 // WriteChromeSpan renders a single trace tree (CLI one-shot dumps).
 func WriteChromeSpan(w io.Writer, root *Span) error {
-	if root == nil {
-		return writeChromeSpans(w, nil, time.Time{})
+	var roots []*Span
+	if root != nil {
+		roots = []*Span{root}
 	}
-	return writeChromeSpans(w, []*Span{root}, time.Time{})
+	return WriteChromeEvents(w, ChromeEvents(roots, time.Time{}))
 }
 
 // ChromeEvents flattens the trace trees into events with timestamps
-// relative to epoch. A zero epoch means the earliest root start (the
-// WriteChrome default); time.Unix(0, 0) yields absolute Unix-epoch
-// microseconds, which is what lets a client rebase server-side events
-// onto its own timeline.
+// relative to epoch. A zero epoch means the earliest root start, which is
+// what the chrome://tracing and Perfetto loaders expect; time.Unix(0, 0)
+// yields absolute Unix-epoch microseconds, which is what lets a client
+// rebase server-side events onto its own timeline. Each root trace gets
+// its own tid so concurrent requests render as separate tracks.
 func ChromeEvents(roots []*Span, epoch time.Time) []ChromeEvent {
 	if epoch.IsZero() {
 		for _, r := range roots {
@@ -83,10 +80,6 @@ func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
 	}
 	_, err := io.WriteString(w, "]\n")
 	return err
-}
-
-func writeChromeSpans(w io.Writer, roots []*Span, epoch time.Time) error {
-	return WriteChromeEvents(w, ChromeEvents(roots, epoch))
 }
 
 // effectiveEnd returns the span end, falling back to the latest child end
@@ -163,18 +156,8 @@ func micros(d time.Duration) float64 {
 	return float64(d.Nanoseconds()) / 1e3
 }
 
-// WriteTree renders every completed trace as an indented human-readable
-// summary, newest last.
-func (t *Tracer) WriteTree(w io.Writer) error {
-	for _, r := range t.Snapshot() {
-		if err := WriteTreeSpan(w, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTreeSpan renders one trace tree.
+// WriteTreeSpan renders one trace tree as an indented human-readable
+// summary.
 func WriteTreeSpan(w io.Writer, root *Span) error {
 	if root == nil {
 		return nil
@@ -203,4 +186,83 @@ func writeTree(w io.Writer, s *Span, depth int) error {
 		}
 	}
 	return nil
+}
+
+// Serve answers a GET /debug/traces request from t's ring: Chrome
+// trace-event JSON by default (load it in chrome://tracing or Perfetto),
+// the text tree for Accept: text/plain or the legacy ?format=tree.
+//
+//	?trace=<id>  only roots with that trace ID (request ID or W3C trace ID)
+//	?limit=N     newest N traces
+//	?epoch=unix  absolute Unix-epoch microseconds instead of
+//	             earliest-root-relative — what lets a client merge these
+//	             events with its own on one timeline
+//
+// For a malformed ?limit (400) or an Accept naming neither representation
+// (406) Serve writes nothing and returns the status and error, which the
+// caller answers in its own error format.
+func Serve(w http.ResponseWriter, r *http.Request, t *Tracer) (int, error) {
+	q := r.URL.Query()
+	roots := t.Snapshot()
+	if id := q.Get("trace"); id != "" {
+		kept := roots[:0]
+		for _, root := range roots {
+			if root.TraceID() == id {
+				kept = append(kept, root)
+			}
+		}
+		roots = kept
+	}
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return http.StatusBadRequest, fmt.Errorf("bad limit %q", v)
+		}
+		if n < len(roots) {
+			roots = roots[len(roots)-n:] // ring is oldest-first; keep the newest N
+		}
+	}
+	tree := q.Get("format") == "tree"
+	if !tree {
+		var err error
+		if tree, err = treeFromAccept(r.Header.Get("Accept")); err != nil {
+			return http.StatusNotAcceptable, err
+		}
+	}
+	if tree {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		for _, root := range roots {
+			_ = WriteTreeSpan(w, root)
+		}
+		return http.StatusOK, nil
+	}
+	var epoch time.Time
+	if q.Get("epoch") == "unix" {
+		epoch = time.Unix(0, 0)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = WriteChromeEvents(w, ChromeEvents(roots, epoch))
+	return http.StatusOK, nil
+}
+
+// treeFromAccept resolves the /debug/traces representation: JSON (the
+// default, also */*) or the text tree. An Accept that matches neither is a
+// 406.
+func treeFromAccept(header string) (bool, error) {
+	if strings.TrimSpace(header) == "" {
+		return false, nil
+	}
+	for _, part := range strings.Split(header, ",") {
+		mt, _, err := mime.ParseMediaType(part)
+		if err != nil {
+			continue
+		}
+		switch mt {
+		case "application/json", "application/*", "*/*":
+			return false, nil
+		case "text/plain", "text/*":
+			return true, nil
+		}
+	}
+	return false, fmt.Errorf("not acceptable %q (use application/json or text/plain)", header)
 }

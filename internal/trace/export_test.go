@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +34,13 @@ func fixedTrace() *Tracer {
 	return tr
 }
 
+// writeChrome renders every completed trace in t as Chrome trace-event
+// JSON, relative to the earliest root — what /debug/traces serves with no
+// query.
+func writeChrome(w io.Writer, t *Tracer) error {
+	return WriteChromeEvents(w, ChromeEvents(t.Snapshot(), time.Time{}))
+}
+
 const wantChrome = `[{"name":"request /v1/solve","cat":"prefcover","ph":"X","ts":0,"dur":600,"pid":1,"tid":1,"args":{"method":"POST","status":200,"traceID":"req-1"}},
 {"name":"parse","cat":"prefcover","ph":"X","ts":10,"dur":240,"pid":1,"tid":1,"args":{"nodes":100,"traceID":"req-1"}},
 {"name":"solve","cat":"prefcover","ph":"X","ts":300,"dur":210,"pid":1,"tid":1,"args":{"traceID":"req-1"}},
@@ -44,7 +52,7 @@ const wantChrome = `[{"name":"request /v1/solve","cat":"prefcover","ph":"X","ts"
 // for a fixed span tree — the format chrome://tracing and Perfetto load.
 func TestWriteChromeGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := fixedTrace().WriteChrome(&buf); err != nil {
+	if err := writeChrome(&buf, fixedTrace()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != wantChrome {
@@ -76,8 +84,10 @@ request /v1/stats [req-2] 50µs
 
 func TestWriteTreeGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := fixedTrace().WriteTree(&buf); err != nil {
-		t.Fatal(err)
+	for _, root := range fixedTrace().Snapshot() {
+		if err := WriteTreeSpan(&buf, root); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if buf.String() != wantTree {
 		t.Errorf("tree export mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), wantTree)
@@ -87,7 +97,7 @@ func TestWriteTreeGolden(t *testing.T) {
 // TestWriteChromeEmpty: an empty ring must still be a loadable document.
 func TestWriteChromeEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New(1).WriteChrome(&buf); err != nil {
+	if err := writeChrome(&buf, New(1)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(buf.String()) != "[]" {
@@ -113,7 +123,7 @@ func TestUnfinishedSpans(t *testing.T) {
 	root.EndAt(base.Add(100 * time.Microsecond))
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := writeChrome(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -7,9 +7,10 @@
 // memory — when the ring is full the oldest trace is evicted and counted
 // in Dropped.
 //
-// Two exporters read the ring: WriteChrome emits Chrome trace-event JSON
-// (the "ph":"X" complete-event form), loadable in chrome://tracing and
-// Perfetto, and WriteTree prints an indented human-readable summary.
+// Two exporters read the ring: ChromeEvents and WriteChromeEvents emit
+// Chrome trace-event JSON (the "ph":"X" complete-event form), loadable in
+// chrome://tracing and Perfetto, and WriteTreeSpan prints an indented
+// human-readable summary. Serve puts both behind /debug/traces.
 //
 // The package is nil-tolerant by design: every Span method is a no-op on a
 // nil receiver and FromContext returns nil when no span was installed, so

@@ -39,10 +39,9 @@
 // reports. Setting Options.Threshold instead of K solves the complementary
 // minimization problem (smallest set reaching a target cover).
 // Options.Strategy selects how the greedy loop runs: lazy (CELF) evaluation
-// on the flat solver kernel by default, the literal scan, the
-// goroutine-parallel scan, or sketch-bounded lazy evaluation;
-// Options.Workers sizes the goroutine fan-out. All deterministic strategies
-// return the identical solution.
+// on the flat solver kernel by default, the literal scan, or the
+// goroutine-parallel scan; Options.Workers sizes the goroutine fan-out. All
+// deterministic strategies return the identical solution.
 //
 // The package is a facade over the internal implementation; the exported
 // names below are the supported, documented surface.
@@ -126,8 +125,8 @@ type ProgressEvent = greedy.ProgressEvent
 
 // Strategy names reported in ProgressEvent.Strategy. The first five are
 // also valid Options.Strategy values (see ParseStrategy); StrategyLazy, the
-// default, and StrategySketch run on the data-oriented gain kernels of
-// internal/kernel, and StrategyLazyFlat is an alias of StrategyLazy.
+// default, runs on the data-oriented gain kernels of internal/kernel, and
+// StrategyLazyFlat and StrategySketch are aliases of it.
 const (
 	StrategyScan       = greedy.StrategyScan
 	StrategyParallel   = greedy.StrategyParallel
