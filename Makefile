@@ -16,6 +16,7 @@ COVER_FLOOR := 70
 FUZZ_TARGETS := \
 	./internal/graph:FuzzReadTSV \
 	./internal/graph:FuzzReadBinary \
+	./internal/graph:FuzzReadJSON \
 	./internal/clickstream:FuzzTSVReader \
 	./internal/clickstream:FuzzJSONLReader \
 	./internal/clickstream:FuzzClickstreamParse \

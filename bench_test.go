@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,7 @@ import (
 	isimilarity "prefcover/internal/similarity"
 	"prefcover/internal/solvecache"
 	isparsify "prefcover/internal/sparsify"
+	istore "prefcover/internal/store"
 	isynth "prefcover/internal/synth"
 	itrace "prefcover/internal/trace"
 	iyoochoose "prefcover/internal/yoochoose"
@@ -936,4 +938,65 @@ func BenchmarkProfileLabelOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGraphIngest measures one graph upload as prefcoverd serves a
+// PUT /v1/graphs/{name}: decode the body, then register the graph, which
+// encodes it through the binary codec to hash it. The graph has the serving
+// benchmark's YC shape: 52,739 nodes labeled sku-<i>. json is the upload
+// format of the warm-catalog, refresh and gateway workloads; binary is
+// cold-pins'.
+func BenchmarkGraphIngest(b *testing.B) {
+	spec, err := isynth.PresetGraphSpec(isynth.YC, 1, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := isynth.GenerateGraph(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld := igraph.NewBuilder(base.NumNodes(), base.NumEdges())
+	for v := 0; v < base.NumNodes(); v++ {
+		bld.AddLabeledNode("sku-"+strconv.Itoa(v), base.NodeWeight(int32(v)))
+	}
+	for v := int32(0); v < int32(base.NumNodes()); v++ {
+		dsts, ws := base.OutEdges(v)
+		for i, u := range dsts {
+			bld.AddEdge(v, u, ws[i])
+		}
+	}
+	g, err := bld.Build(igraph.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg, err := istore.New(istore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		encode func(io.Writer, *igraph.Graph) error
+		decode func(io.Reader) (*igraph.Graph, error)
+	}{
+		{"json", igraph.WriteJSON, func(r io.Reader) (*igraph.Graph, error) { return igraph.ReadJSON(r, igraph.BuildOptions{}) }},
+		{"binary", igraph.WriteBinary, igraph.ReadBinary},
+	} {
+		var body bytes.Buffer
+		if err := tc.encode(&body, g); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := tc.decode(bytes.NewReader(body.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := reg.Put("yc", got); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -41,10 +41,10 @@ func (jr *JSONLReader) Next() (*Session, error) {
 		}
 		jr.cur = Session{}
 		if err := json.Unmarshal([]byte(text), &jr.cur); err != nil {
-			return nil, fmt.Errorf("clickstream: jsonl line %d: %w", jr.line, err)
+			return nil, lineError(jr.sc, fmt.Errorf("clickstream: jsonl line %d: %w", jr.line, err))
 		}
 		if err := jr.cur.Validate(); err != nil {
-			return nil, fmt.Errorf("clickstream: jsonl line %d: %w", jr.line, err)
+			return nil, lineError(jr.sc, fmt.Errorf("clickstream: jsonl line %d: %w", jr.line, err))
 		}
 		return &jr.cur, nil
 	}
@@ -52,6 +52,16 @@ func (jr *JSONLReader) Next() (*Session, error) {
 		return nil, err
 	}
 	return nil, ErrEOF
+}
+
+// lineError is err, the fault found in the scanner's current line, unless
+// the scanner stopped on a read error: it hands over the partial line it
+// holds then, and the fault is the read's.
+func lineError(sc *bufio.Scanner, err error) error {
+	if readErr := sc.Err(); readErr != nil {
+		return readErr
+	}
+	return err
 }
 
 // JSONLWriter streams sessions as JSON lines.
@@ -96,12 +106,12 @@ func (tr *TSVReader) Next() (*Session, error) {
 		}
 		fields := strings.Split(text, "\t")
 		if len(fields) != 3 {
-			return nil, fmt.Errorf("clickstream: tsv line %d: want 3 fields, got %d", tr.line, len(fields))
+			return nil, lineError(tr.sc, fmt.Errorf("clickstream: tsv line %d: want 3 fields, got %d", tr.line, len(fields)))
 		}
 		if strings.Contains(fields[1], ",") {
 			// Commas delimit the click list; a purchase label containing
 			// one could never be re-serialized, so reject it up front.
-			return nil, fmt.Errorf("clickstream: tsv line %d: purchase label contains a comma", tr.line)
+			return nil, lineError(tr.sc, fmt.Errorf("clickstream: tsv line %d: purchase label contains a comma", tr.line))
 		}
 		tr.cur = Session{ID: fields[0], Purchase: fields[1]}
 		if fields[2] == "" {
@@ -110,7 +120,7 @@ func (tr *TSVReader) Next() (*Session, error) {
 			tr.cur.Clicks = strings.Split(fields[2], ",")
 		}
 		if err := tr.cur.Validate(); err != nil {
-			return nil, fmt.Errorf("clickstream: tsv line %d: %w", tr.line, err)
+			return nil, lineError(tr.sc, fmt.Errorf("clickstream: tsv line %d: %w", tr.line, err))
 		}
 		return &tr.cur, nil
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary codec for large graphs (millions of nodes). Layout, all
@@ -22,44 +23,46 @@ import (
 //	labels  (if labeled) n * (uvarint length + bytes)
 //
 // The incoming CSR is rebuilt on load; it is cheaper to recompute than to
-// double the file size.
+// double the file size. Arrays are encoded and decoded a buffer's worth at
+// a time.
 
 var binaryMagic = [4]byte{'P', 'C', 'G', '1'}
 
 const flagLabeled = 1 << 0
 
+const (
+	// binaryHeaderSize is magic, flags, n and m.
+	binaryHeaderSize = 4 + 4 + 8 + 8
+	// binaryBufSize is the codec's I/O buffer.
+	binaryBufSize = 64 << 10
+)
+
 // WriteBinary serializes g in the compact binary format.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
+	bw := bufio.NewWriterSize(w, binaryBufSize)
 	var flags uint32
 	if g.Labeled() {
 		flags |= flagLabeled
 	}
-	if err := writeLE(bw, flags, uint64(g.NumNodes()), uint64(g.NumEdges())); err != nil {
+	var hdr [binaryHeaderSize]byte
+	copy(hdr[:], binaryMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:], flags)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.NumNodes()))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(g.NumEdges()))
+	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	for _, x := range g.nodeW {
-		if err := writeLE(bw, math.Float64bits(x)); err != nil {
-			return err
-		}
+	if err := writeLE(bw, g.nodeW); err != nil {
+		return err
 	}
-	for _, x := range g.outStart {
-		if err := writeLE(bw, uint64(x)); err != nil {
-			return err
-		}
+	if err := writeLE(bw, g.outStart); err != nil {
+		return err
 	}
-	for _, x := range g.outDst {
-		if err := writeLE(bw, uint32(x)); err != nil {
-			return err
-		}
+	if err := writeLE(bw, g.outDst); err != nil {
+		return err
 	}
-	for _, x := range g.outW {
-		if err := writeLE(bw, math.Float64bits(x)); err != nil {
-			return err
-		}
+	if err := writeLE(bw, g.outW); err != nil {
+		return err
 	}
 	if g.Labeled() {
 		var buf [binary.MaxVarintLen64]byte
@@ -76,11 +79,44 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-func writeLE(w io.Writer, values ...interface{}) error {
-	for _, v := range values {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+// fixed is the element types of the codec's arrays.
+type fixed interface{ int32 | int64 | float64 }
+
+func sizeOf[T fixed]() int {
+	var x T
+	return binary.Size(x)
+}
+
+// writeLE encodes xs little-endian straight into bw's free buffer space.
+func writeLE[T fixed](bw *bufio.Writer, xs []T) error {
+	size := sizeOf[T]()
+	for len(xs) > 0 {
+		if bw.Available() < size {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		buf := bw.AvailableBuffer()
+		n := min(len(xs), cap(buf)/size)
+		buf = buf[:n*size]
+		switch xs := any(xs[:n]).(type) {
+		case []int32:
+			for i, x := range xs {
+				binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+			}
+		case []int64:
+			for i, x := range xs {
+				binary.LittleEndian.PutUint64(buf[8*i:], uint64(x))
+			}
+		case []float64:
+			for i, x := range xs {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+			}
+		}
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
+		xs = xs[n:]
 	}
 	return nil
 }
@@ -96,34 +132,36 @@ const binaryChunk = 1 << 16
 
 // ReadBinary parses the binary format and reconstructs the incoming CSR.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	br := bufio.NewReaderSize(r, binaryBufSize)
+	var hdr [binaryHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
 		return nil, fmt.Errorf("graph: reading binary magic: %w", err)
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q (want %q)", magic[:], binaryMagic[:])
+	if [4]byte(hdr[:4]) != binaryMagic {
+		return nil, fmt.Errorf("graph: bad magic %q (want %q)", hdr[:4], binaryMagic[:])
 	}
-	var flags uint32
-	var n, m uint64
-	if err := readLE(br, &flags, &n, &m); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(br, hdr[4:]); err != nil {
+		return nil, fmt.Errorf("graph: reading binary body: %w", err)
 	}
+	flags := binary.LittleEndian.Uint32(hdr[4:])
+	n := binary.LittleEndian.Uint64(hdr[8:])
+	m := binary.LittleEndian.Uint64(hdr[16:])
 	if n == 0 || n > maxBinaryCount || m > maxBinaryCount {
 		return nil, fmt.Errorf("graph: implausible binary header n=%d m=%d", n, m)
 	}
 	g := &Graph{}
+	scratch := make([]byte, 8*min(max(n+1, m), binaryChunk))
 	var err error
-	if g.nodeW, err = readFloat64s(br, n); err != nil {
+	if g.nodeW, err = readLE[float64](br, n, scratch); err != nil {
 		return nil, err
 	}
-	if g.outStart, err = readInt64s(br, n+1); err != nil {
+	if g.outStart, err = readLE[int64](br, n+1, scratch); err != nil {
 		return nil, err
 	}
-	if g.outDst, err = readInt32s(br, m); err != nil {
+	if g.outDst, err = readLE[int32](br, m, scratch); err != nil {
 		return nil, err
 	}
-	if g.outW, err = readFloat64s(br, m); err != nil {
+	if g.outW, err = readLE[float64](br, m, scratch); err != nil {
 		return nil, err
 	}
 	if g.outStart[0] != 0 || g.outStart[n] != int64(m) {
@@ -150,10 +188,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			if l > 1<<20 {
 				return nil, fmt.Errorf("graph: implausible label length %d", l)
 			}
-			buf := make([]byte, l)
+			buf := slices.Grow(scratch[:0], int(l))[:l]
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, fmt.Errorf("graph: reading label %d: %w", i, err)
 			}
+			scratch = buf
 			g.labels[i] = string(buf)
 			if _, dup := g.byName[g.labels[i]]; dup {
 				return nil, fmt.Errorf("graph: duplicate label %q", g.labels[i])
@@ -165,86 +204,34 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-func readLE(r io.Reader, targets ...interface{}) error {
-	for _, t := range targets {
-		if err := binary.Read(r, binary.LittleEndian, t); err != nil {
-			return fmt.Errorf("graph: reading binary body: %w", err)
-		}
-	}
-	return nil
-}
-
-// readFloat64s reads count float64 values, growing the slice chunk by
-// chunk so truncated input fails before large allocations.
-func readFloat64s(r io.Reader, count uint64) ([]float64, error) {
-	out := make([]float64, 0, min64(count, binaryChunk))
+// readLE reads count little-endian values through scratch. The result
+// grows a chunk at a time, so truncated input fails before large
+// allocations.
+func readLE[T fixed](br *bufio.Reader, count uint64, scratch []byte) ([]T, error) {
+	size := sizeOf[T]()
+	out := make([]T, 0, min(count, binaryChunk))
 	for uint64(len(out)) < count {
-		step := min64(count-uint64(len(out)), binaryChunk)
-		chunk := make([]float64, step)
-		if err := readLE(r, &chunk); err != nil {
-			return nil, err
+		step := int(min(count-uint64(len(out)), binaryChunk))
+		buf := scratch[:step*size]
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return nil, fmt.Errorf("graph: reading binary body: %w", err)
 		}
-		out = append(out, chunk...)
+		out = slices.Grow(out, step)
+		switch dst := any(out[len(out) : len(out)+step]).(type) {
+		case []int32:
+			for i := range dst {
+				dst[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+			}
+		case []int64:
+			for i := range dst {
+				dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
+			}
+		case []float64:
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+			}
+		}
+		out = out[:len(out)+step]
 	}
 	return out, nil
-}
-
-func readInt64s(r io.Reader, count uint64) ([]int64, error) {
-	out := make([]int64, 0, min64(count, binaryChunk))
-	for uint64(len(out)) < count {
-		step := min64(count-uint64(len(out)), binaryChunk)
-		chunk := make([]int64, step)
-		if err := readLE(r, &chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func readInt32s(r io.Reader, count uint64) ([]int32, error) {
-	out := make([]int32, 0, min64(count, binaryChunk))
-	for uint64(len(out)) < count {
-		step := min64(count-uint64(len(out)), binaryChunk)
-		chunk := make([]int32, step)
-		if err := readLE(r, &chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// buildIncoming recomputes the incoming CSR from the outgoing one.
-func (g *Graph) buildIncoming() {
-	n := g.NumNodes()
-	m := len(g.outDst)
-	g.inStart = make([]int64, n+1)
-	g.inSrc = make([]int32, m)
-	g.inW = make([]float64, m)
-	for _, d := range g.outDst {
-		g.inStart[d+1]++
-	}
-	for i := 1; i <= n; i++ {
-		g.inStart[i] += g.inStart[i-1]
-	}
-	next := make([]int64, n)
-	copy(next, g.inStart[:n])
-	for v := int32(0); v < int32(n); v++ {
-		lo, hi := g.outStart[v], g.outStart[v+1]
-		for i := lo; i < hi; i++ {
-			d := g.outDst[i]
-			pos := next[d]
-			next[d]++
-			g.inSrc[pos] = v
-			g.inW[pos] = g.outW[i]
-		}
-	}
 }

@@ -70,7 +70,7 @@ func (b *Builder) AddLabeledNode(label string, w float64) int32 {
 		if len(b.weights) > 0 {
 			b.fail(fmt.Errorf("graph: mixing labeled and unlabeled nodes (label %q)", label))
 		}
-		b.byName = make(map[string]int32)
+		b.byName = make(map[string]int32, cap(b.weights))
 	}
 	if prev, dup := b.byName[label]; dup {
 		b.fail(fmt.Errorf("graph: duplicate node label %q (node %d)", label, prev))
@@ -177,12 +177,16 @@ func (b *Builder) Build(opts BuildOptions) (*Graph, error) {
 		}
 		edges = kept
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
+	// The codecs and WriteJSON list edges in (src, dst) order already, and
+	// a sort of distinct, ordered keys is the identity, so it is skipped.
+	if !edgesOrdered(edges) {
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i].Src != edges[j].Src {
+				return edges[i].Src < edges[j].Src
+			}
+			return edges[i].Dst < edges[j].Dst
+		})
+	}
 	deduped, err := dedupEdges(edges, opts.Duplicates)
 	if err != nil {
 		return nil, err
@@ -193,16 +197,20 @@ func (b *Builder) Build(opts BuildOptions) (*Graph, error) {
 		labels: b.labels,
 		byName: b.byName,
 	}
-	g.outStart, g.outDst, g.outW = buildCSR(n, deduped, false)
-	// Re-sort by (dst, src) for the reverse index.
-	sort.Slice(deduped, func(i, j int) bool {
-		if deduped[i].Dst != deduped[j].Dst {
-			return deduped[i].Dst < deduped[j].Dst
-		}
-		return deduped[i].Src < deduped[j].Src
-	})
-	g.inStart, g.inSrc, g.inW = buildCSR(n, deduped, true)
+	g.outStart, g.outDst, g.outW = buildCSR(n, deduped)
+	g.buildIncoming()
 	return g, nil
+}
+
+// edgesOrdered reports whether edges are strictly increasing by (src, dst).
+func edgesOrdered(edges []Edge) bool {
+	for i := 1; i < len(edges); i++ {
+		a, b := edges[i-1], edges[i]
+		if a.Src > b.Src || a.Src == b.Src && a.Dst >= b.Dst {
+			return false
+		}
+	}
+	return true
 }
 
 // dedupEdges assumes edges sorted by (src,dst) and applies the policy
@@ -236,32 +244,48 @@ func dedupEdges(edges []Edge, policy DuplicatePolicy) ([]Edge, error) {
 	return out, nil
 }
 
-// buildCSR lays out edges (sorted by the grouping endpoint) into CSR arrays.
-// When reverse is true the grouping endpoint is Dst and the stored endpoint
-// is Src; otherwise grouping is Src and stored is Dst.
-func buildCSR(n int, edges []Edge, reverse bool) ([]int64, []int32, []float64) {
+// buildCSR lays out edges, sorted by (src, dst), as the outgoing CSR.
+func buildCSR(n int, edges []Edge) ([]int64, []int32, []float64) {
 	start := make([]int64, n+1)
-	other := make([]int32, len(edges))
+	dst := make([]int32, len(edges))
 	w := make([]float64, len(edges))
-	for _, e := range edges {
-		if reverse {
-			start[e.Dst+1]++
-		} else {
-			start[e.Src+1]++
-		}
+	for i, e := range edges {
+		start[e.Src+1]++
+		dst[i] = e.Dst
+		w[i] = e.W
 	}
 	for i := 1; i <= n; i++ {
 		start[i] += start[i-1]
 	}
-	// Edges are sorted by the grouping endpoint, so a single linear pass
-	// fills each bucket in order.
-	for i, e := range edges {
-		if reverse {
-			other[i] = e.Src
-		} else {
-			other[i] = e.Dst
-		}
-		w[i] = e.W
+	return start, dst, w
+}
+
+// buildIncoming lays out the incoming CSR from the outgoing one by
+// counting placement: a count per destination, prefix sums, then one pass
+// over the out-edges in source order, so each node's in-edges come out
+// sorted by source without a sort.
+func (g *Graph) buildIncoming() {
+	n := g.NumNodes()
+	m := len(g.outDst)
+	g.inStart = make([]int64, n+1)
+	g.inSrc = make([]int32, m)
+	g.inW = make([]float64, m)
+	for _, d := range g.outDst {
+		g.inStart[d+1]++
 	}
-	return start, other, w
+	for i := 1; i <= n; i++ {
+		g.inStart[i] += g.inStart[i-1]
+	}
+	next := make([]int64, n)
+	copy(next, g.inStart[:n])
+	for v := int32(0); v < int32(n); v++ {
+		lo, hi := g.outStart[v], g.outStart[v+1]
+		for i := lo; i < hi; i++ {
+			d := g.outDst[i]
+			pos := next[d]
+			next[d]++
+			g.inSrc[pos] = v
+			g.inW[pos] = g.outW[i]
+		}
+	}
 }

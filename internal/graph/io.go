@@ -137,31 +137,3 @@ func WriteJSON(w io.Writer, g *Graph) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
 }
-
-// ReadJSON parses a document produced by WriteJSON.
-func ReadJSON(r io.Reader, opts BuildOptions) (*Graph, error) {
-	var doc jsonGraph
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("graph: decoding json: %w", err)
-	}
-	b := NewBuilder(len(doc.Nodes), len(doc.Edges))
-	labeled := len(doc.Nodes) > 0 && doc.Nodes[0].Label != ""
-	for i, nd := range doc.Nodes {
-		if labeled {
-			if nd.Label == "" {
-				return nil, fmt.Errorf("graph: json node %d missing label in labeled graph", i)
-			}
-			b.AddLabeledNode(nd.Label, nd.Weight)
-		} else {
-			b.AddNode(nd.Weight)
-		}
-	}
-	for i, e := range doc.Edges {
-		if e.Src < 0 || int(e.Src) >= len(doc.Nodes) || e.Dst < 0 || int(e.Dst) >= len(doc.Nodes) {
-			return nil, fmt.Errorf("graph: json edge %d references unknown node", i)
-		}
-		b.AddEdge(e.Src, e.Dst, e.Weight)
-	}
-	return b.Build(opts)
-}

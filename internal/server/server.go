@@ -627,7 +627,14 @@ type apiError struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
+// writeError writes the JSON error envelope. A body cut off at
+// MaxBodyBytes is 413 whatever status the handler chose, so every handler
+// that reads a bounded body reports it the same way.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
 	reqID := requestIDFrom(r.Context())
 	if s.logger != nil {
 		s.logger.LogAttrs(r.Context(), slog.LevelWarn, "request failed",

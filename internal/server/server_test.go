@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -226,12 +227,48 @@ func TestMaxSolveKLimit(t *testing.T) {
 	}
 }
 
+// TestMaxBodyLimit checks that every bounded body answers 413 once it
+// passes MaxBodyBytes, whatever the handler was doing with it.
 func TestMaxBodyLimit(t *testing.T) {
 	ts := testServer(t, Limits{MaxBodyBytes: 64})
-	big := strings.Repeat(figure3JSONL, 10)
-	resp, _ := postJSON(t, ts.URL+"/v1/adapt", big)
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("oversized body should fail")
+	b := prefcover.NewBuilder(0, 0)
+	for i := 0; i < 8; i++ {
+		b.AddLabeledNode(fmt.Sprintf("item-%d", i), 0.125)
+	}
+	b.AddLabeledEdge("item-0", "item-1", 0.5)
+	g, err := b.Build(prefcover.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js, bin bytes.Buffer
+	if err := prefcover.WriteGraphJSON(&js, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := prefcover.WriteGraphBinary(&bin, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, method, path, contentType, body string
+	}{
+		{"adapt", http.MethodPost, "/v1/adapt", "application/json", strings.Repeat(figure3JSONL, 10)},
+		{"json graph put", http.MethodPut, "/v1/graphs/big", "application/json", js.String()},
+		{"binary graph put", http.MethodPut, "/v1/graphs/big", "application/octet-stream", bin.String()},
+		{"inline solve", http.MethodPost, "/v1/solve?variant=i&k=1", "application/json", js.String()},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", tc.contentType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413 (%s)", tc.name, resp.StatusCode, body)
+		}
 	}
 }
 
