@@ -29,7 +29,7 @@ FUZZ_TARGETS := \
 	./internal/server:FuzzSolveResponseJSON \
 	./cmd/prefcover:FuzzGraphImport
 
-.PHONY: all build test test-race chaos cover fuzz-short smoke cluster-smoke loadgen loadgen-smoke bench bench-json bench-gate profile vet fmt-check ci
+.PHONY: all build test test-race chaos cover fuzz-short smoke cluster-smoke bench bench-serving bench-json bench-gate profile vet fmt-check ci
 
 all: build test
 
@@ -88,22 +88,28 @@ smoke:
 cluster-smoke:
 	$(GO) test -count=1 -run '^TestClusterSmoke$$' ./cmd/prefcoverd
 
-# loadgen-smoke boots the real prefcoverd and prefcover binaries, fires a
-# one-second open-loop burst at the daemon, verifies the recorded
-# BENCH_serving.json entry (quantiles, error budget, cache ratio), and
-# checks that the request schedule is byte-reproducible per seed.
-loadgen-smoke:
-	$(GO) test -count=1 -run '^TestLoadgenSmoke$$' ./cmd/prefcover
-
-# loadgen snapshots serving latency into BENCH_serving.json: a 5 s
-# open-loop run at 200 rps against an in-process prefcoverd — the serving
-# trajectory future PRs diff against (compare BENCH_solver.json).
-loadgen:
-	$(GO) run ./cmd/prefcover loadgen -preset yc -rps 200 -duration 5s -seed 1 \
-		-out BENCH_serving.json
-
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
+
+# bench-serving records the serving benchmark (bench/, see bench/README.md)
+# into BENCH_serving.json: every workload once for each of seeds 1, 2 and 3,
+# each run's final JSON line kept as the run printed it, stamped with the
+# git SHA and CPU count. About 7 minutes on 2 CPUs. If any run fails, the
+# file is left as it was.
+bench-serving:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for s in 1 2 3; do \
+		bash bench/run.sh -seed $$s > "$$tmp/$$s.out" || { cat "$$tmp/$$s.out"; exit 1; }; \
+		cat "$$tmp/$$s.out"; \
+	done; \
+	{ printf '{\n  "schemaVersion": 2,\n  "gitSHA": "%s",\n  "cpus": %s,\n  "runs": [' \
+		"$$(git rev-parse HEAD)" "$$(nproc)"; \
+	  sep=; for s in 1 2 3; do \
+		printf '%s\n    {"seed": %s, "result": %s}' "$$sep" $$s "$$(tail -n 1 "$$tmp/$$s.out")"; sep=,; \
+	  done; \
+	  printf '\n  ]\n}\n'; } > "$$tmp/bench.json"; \
+	mv "$$tmp/bench.json" BENCH_serving.json; \
+	echo "bench-serving: wrote BENCH_serving.json"
 
 # bench-json snapshots the curated solver kernels into BENCH_solver.json
 # (ns/op, allocs/op, git SHA) — the perf trajectory future PRs diff against.
@@ -137,16 +143,15 @@ fmt-check:
 # the race detector — the jobs/cache/store subsystems are concurrency-heavy —
 # and the multi-seed chaos suites via test-race), coverage floors on the
 # resilience packages, the statusz/metrics daemon smoke test, the cluster
-# smoke test (real nodes + gateway, kill-one-node failover), the loadgen
-# smoke test (real binaries, real traffic, schedule reproducibility), plus a
-# smoke run of the benchmark harness (tiny benchtime; result discarded), and
+# smoke test (real nodes + gateway, kill-one-node failover), plus a smoke
+# run of the benchmark harness (tiny benchtime; result discarded), and
 # the bench-gate regression check of the gain kernels against the committed
 # BENCH_solver.json snapshot. bench/ is its own module, outside ./..., so it
 # is vetted, built and tested separately: an API change that breaks the
 # serving benchmark fails here instead of in the benchmark run, and its
 # TestSmoke runs every workload briefly on small graphs, untraced and
 # traced, with the correctness oracle on.
-ci: vet fmt-check build test test-race cover smoke cluster-smoke loadgen-smoke
+ci: vet fmt-check build test test-race cover smoke cluster-smoke
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 	cd bench && $(GO) test ./...
 	$(GO) run ./cmd/benchjson -quiet -benchtime 1x \

@@ -49,7 +49,6 @@ var commands = []command{
 	{"eval", "score an explicit retained set", runEval},
 	{"simulate", "Monte Carlo-validate a retained set against the graph", runSimulate},
 	{"remote", "talk to a prefcoverd: push graphs, solve by reference, run async jobs", runRemote},
-	{"loadgen", "load-test a prefcoverd: open-loop traffic, capacity knee, BENCH_serving.json", runLoadgen},
 	{"version", "print the build identity (module version, VCS revision, Go)", runVersion},
 }
 

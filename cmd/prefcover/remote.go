@@ -60,16 +60,14 @@ func runRemote(ctx context.Context, args []string) error {
 
 // retryFlags registers the shared retry knobs on fs and returns the
 // resulting policy builder (flag values are only valid after Parse). The
-// policy shape itself comes from internal/apiclient, the same constructor
-// the load generator uses, so `prefcover remote` and `prefcover loadgen`
-// cannot drift apart.
+// policy shape itself comes from internal/apiclient's NewPolicy.
 func retryFlags(fs *flag.FlagSet) func() retry.Policy {
 	retries := fs.Int("retries", retry.DefaultMaxAttempts-1,
 		"how many times to retry transient failures (connection errors, 429/503/5xx) on idempotent calls; 0 disables")
 	base := fs.Duration("retry-base", retry.DefaultBaseDelay,
 		"initial backoff before the first retry (doubles each retry, jittered, Retry-After honored)")
 	return func() retry.Policy {
-		return apiclient.NewPolicy(*retries+1, *base, nil)
+		return apiclient.NewPolicy(*retries+1, *base)
 	}
 }
 
@@ -108,7 +106,7 @@ func (c *remoteClient) do(ctx context.Context, method, url, contentType string, 
 	if call != nil {
 		// Observe retry decisions so each attempt span can report the
 		// backoff that preceded it.
-		backoff = &backoffObserver{next: policy.Observer}
+		backoff = &backoffObserver{}
 		policy.Observer = backoff
 	}
 	attempt := 0
@@ -194,30 +192,18 @@ func (c *remoteClient) do(ctx context.Context, method, url, contentType string, 
 }
 
 // backoffObserver captures the delay the retry loop chose before each
-// re-attempt, chaining to any observer the policy already had.
+// re-attempt.
 type backoffObserver struct {
-	next      retry.Observer
 	lastDelay time.Duration
 }
 
-func (o *backoffObserver) Attempt() {
-	if o.next != nil {
-		o.next.Attempt()
-	}
-}
+func (o *backoffObserver) Attempt() {}
 
 func (o *backoffObserver) Retry(delay time.Duration, honored bool, err error) {
 	o.lastDelay = delay
-	if o.next != nil {
-		o.next.Retry(delay, honored, err)
-	}
 }
 
-func (o *backoffObserver) GiveUp(err error) {
-	if o.next != nil {
-		o.next.GiveUp(err)
-	}
-}
+func (o *backoffObserver) GiveUp(err error) {}
 
 // responseError renders an error response for the terminal: the server's
 // JSON error body when it has one (with its request ID, so the exact

@@ -3,7 +3,7 @@ package main
 // End-to-end capture test: boot the real daemon, arm a server-side CPU
 // capture through /debug/profilez while inline solves hammer /v1/solve,
 // then download and decode the capture and find the solver's pprof
-// labels in it — the full path `prefcover loadgen -profile` drives.
+// labels in it.
 
 import (
 	"bufio"

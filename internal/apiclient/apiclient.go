@@ -1,19 +1,15 @@
 // Package apiclient is the one place prefcoverd's HTTP clients are
-// constructed. `prefcover remote` and the load generator
-// (internal/loadgen) used to each assemble their own http.Client, retry
-// policy and identification headers; drift between the two meant the
-// traffic the capacity model measured was not the traffic the CLI sent.
-// Everything shared now lives here:
+// constructed: `prefcover remote` and the cluster gateway share its
+// transport sizing, identification headers and retry-policy shape.
 //
 //   - New builds the tuned *http.Client (transport pooling, optional
-//     per-request timeout, optional keep-alive kill switch for harnesses
-//     that must observe every connection-level fault exactly once).
+//     keep-alive kill switch for harnesses that must observe every
+//     connection-level fault exactly once).
 //   - Decorate stamps the headers every outbound prefcover request
 //     carries: an X-Request-ID (one per logical call, constant across its
 //     retry attempts, so client and server logs join on a single ID) and
 //     the W3C traceparent when the caller has a trace position.
-//   - NewPolicy builds the retry discipline with the shared jitter shape
-//     and the caller's Observer (span recorder, metrics counters).
+//   - NewPolicy builds the retry discipline with the shared jitter shape.
 package apiclient
 
 import (
@@ -27,24 +23,20 @@ import (
 	"prefcover/internal/retry"
 )
 
+// idleConnsPerHost sizes each backend's keep-alive pool, well above
+// net/http's default of two so concurrent requests do not redial.
+const idleConnsPerHost = 64
+
 // Options shapes New. The zero value is the `prefcover remote` client:
 // pooled keep-alive connections and no client-side timeout (reference
 // solves can legitimately run for minutes; the server owns the deadline).
 type Options struct {
-	// Timeout bounds each attempt end to end (dial, headers, full body).
-	// 0 means no client-side limit.
-	Timeout time.Duration
-	// DisableKeepAlives forces a fresh connection per request. The chaos
-	// and loadgen harnesses set this when they need injected connection
-	// resets to surface as exactly one observation (net/http transparently
-	// replays idempotent requests on dead *reused* connections, which
-	// would swallow the fault before the retry layer could count it).
+	// DisableKeepAlives forces a fresh connection per request. Fault
+	// harnesses set this when they need injected connection resets to
+	// surface as exactly one observation (net/http transparently replays
+	// idempotent requests on dead *reused* connections, which would
+	// swallow the fault before the retry layer could count it).
 	DisableKeepAlives bool
-	// MaxIdleConnsPerHost sizes the keep-alive pool; the load generator
-	// raises it so open-loop bursts do not serialize on two pooled
-	// connections (net/http's default). 0 keeps the loadgen-friendly
-	// default of 64.
-	MaxIdleConnsPerHost int
 	// Hosts is how many distinct backends this client fans out to (the
 	// cluster gateway talks to every node). It scales the transport-wide
 	// idle-connection cap so a multi-node fan-out is not silently capped at
@@ -55,32 +47,26 @@ type Options struct {
 
 // New returns the shared tuned client.
 func New(opts Options) *http.Client {
-	perHost := opts.MaxIdleConnsPerHost
-	if perHost <= 0 {
-		perHost = 64
-	}
 	hosts := opts.Hosts
 	if hosts <= 0 {
 		hosts = 1
 	}
 	return &http.Client{
-		Timeout: opts.Timeout,
 		Transport: &http.Transport{
 			DisableKeepAlives:   opts.DisableKeepAlives,
-			MaxIdleConns:        4 * perHost * hosts,
-			MaxIdleConnsPerHost: perHost,
+			MaxIdleConns:        4 * idleConnsPerHost * hosts,
+			MaxIdleConnsPerHost: idleConnsPerHost,
 			IdleConnTimeout:     90 * time.Second,
 		},
 	}
 }
 
-// WithTimeout bounds a single request independently of the client-wide
-// Options.Timeout by attaching a deadline context to req. Use it for
-// fan-out calls that need a tight per-request budget (gateway health
-// probes, replication writes) on a client whose other requests (long
-// reference solves) must stay unbounded. The returned cancel must be
-// called once the response body is consumed. d <= 0 returns req
-// unchanged with a no-op cancel.
+// WithTimeout bounds a single request by attaching a deadline context
+// to req. Use it for fan-out calls that need a tight per-request budget
+// (gateway health probes, replication writes) on a client whose other
+// requests (long reference solves) must stay unbounded. The returned
+// cancel must be called once the response body is consumed. d <= 0
+// returns req unchanged with a no-op cancel.
 func WithTimeout(req *http.Request, d time.Duration) (*http.Request, context.CancelFunc) {
 	if d <= 0 {
 		return req, func() {}
@@ -104,7 +90,7 @@ func NewRequestID() string {
 }
 
 // NewTraceparent mints a fresh W3C traceparent value (version 00, random
-// trace and span IDs). The load generator sends one per request with
+// trace and span IDs). Callers without a trace of their own send one with
 // sampled=false: the header exercises the full propagation path without
 // flooding the server's flight recorder, which only records sampled
 // inbound traces.
@@ -141,15 +127,11 @@ func Decorate(req *http.Request, requestID, traceparent string) {
 
 // NewPolicy is the shared retry-policy shape: maxAttempts total tries,
 // base backoff doubling with 50% jitter, Retry-After honored by the
-// retry package itself, every lifecycle event reported to obs (nil for
-// none). retries==0 (maxAttempts==1) still reports GiveUp events, which
-// is what lets a non-retrying load generator account for every transient
-// failure it chose not to retry.
-func NewPolicy(maxAttempts int, base time.Duration, obs retry.Observer) retry.Policy {
+// retry package itself.
+func NewPolicy(maxAttempts int, base time.Duration) retry.Policy {
 	return retry.Policy{
 		MaxAttempts: maxAttempts,
 		BaseDelay:   base,
 		Jitter:      0.5,
-		Observer:    obs,
 	}
 }

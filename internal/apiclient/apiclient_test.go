@@ -61,26 +61,23 @@ func TestDecorate(t *testing.T) {
 }
 
 func TestNewClientTransport(t *testing.T) {
-	c := New(Options{Timeout: 3 * time.Second, DisableKeepAlives: true, MaxIdleConnsPerHost: 7})
-	if c.Timeout != 3*time.Second {
-		t.Fatalf("timeout = %v", c.Timeout)
+	c := New(Options{DisableKeepAlives: true})
+	if c.Timeout != 0 {
+		t.Fatalf("timeout = %v, want none (the server owns the deadline)", c.Timeout)
 	}
 	tr, ok := c.Transport.(*http.Transport)
 	if !ok {
 		t.Fatalf("transport is %T", c.Transport)
 	}
-	if !tr.DisableKeepAlives || tr.MaxIdleConnsPerHost != 7 {
+	if !tr.DisableKeepAlives || tr.MaxIdleConnsPerHost != 64 {
 		t.Fatalf("transport not tuned: %+v", tr)
-	}
-	if def := New(Options{}); def.Transport.(*http.Transport).MaxIdleConnsPerHost != 64 {
-		t.Fatal("default per-host pool should be 64")
 	}
 	// Fan-out sizing: the transport-wide idle cap must scale with the
 	// number of backends, or an N-node gateway would thrash one host's
 	// worth of pooled connections across all N.
-	fan := New(Options{MaxIdleConnsPerHost: 8, Hosts: 5}).Transport.(*http.Transport)
-	if fan.MaxIdleConns != 4*8*5 {
-		t.Fatalf("fan-out MaxIdleConns = %d, want %d", fan.MaxIdleConns, 4*8*5)
+	fan := New(Options{Hosts: 5}).Transport.(*http.Transport)
+	if fan.MaxIdleConns != 4*64*5 {
+		t.Fatalf("fan-out MaxIdleConns = %d, want %d", fan.MaxIdleConns, 4*64*5)
 	}
 }
 
@@ -95,7 +92,7 @@ func TestWithTimeout(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	c := New(Options{}) // no client-wide timeout
+	c := New(Options{})
 	req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
 	req, cancel := WithTimeout(req, 30*time.Millisecond)
 	defer cancel()
@@ -117,8 +114,8 @@ func TestWithTimeout(t *testing.T) {
 }
 
 func TestNewPolicyShape(t *testing.T) {
-	p := NewPolicy(4, 10*time.Millisecond, nil)
-	if p.MaxAttempts != 4 || p.BaseDelay != 10*time.Millisecond || p.Jitter != 0.5 {
+	p := NewPolicy(4, 10*time.Millisecond)
+	if p.MaxAttempts != 4 || p.BaseDelay != 10*time.Millisecond || p.Jitter != 0.5 || p.Observer != nil {
 		t.Fatalf("policy shape drifted: %+v", p)
 	}
 }

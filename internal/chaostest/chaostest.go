@@ -6,9 +6,10 @@
 // server-side fault injector's counts must exactly equal the client-side
 // transient observations (retries + give-ups) — so the client here retries
 // *every* call: an unretried request that swallows an injected fault would
-// break the accounting identity. The goroutine-leak check is also reused
-// by internal/loadgen's end-to-end and chaos tests, which hold their
-// fire-and-forget request goroutines to the same zero-leak standard.
+// break the accounting identity. The client also tallies every attempt's
+// HTTP status, so the suite can match injected 429s and 503s kind by kind.
+// The goroutine-leak check is shared with the cluster chaos suite and the
+// profiler's tests.
 package chaostest
 
 import (
@@ -48,6 +49,8 @@ type Client struct {
 	mu sync.Mutex
 	// violations records responses that broke the error-envelope contract.
 	violations []string
+	// statuses counts attempts by the HTTP status they received.
+	statuses map[int]int64
 }
 
 // NewClient builds a chaos client. The retry schedule is aggressive and
@@ -57,6 +60,7 @@ type Client struct {
 func NewClient(seed int64, reg *metrics.Registry) *Client {
 	c := &Client{
 		Counters: retry.NewCounters(reg),
+		statuses: make(map[int]int64),
 		// A private transport, with keep-alives off: on a *reused*
 		// connection net/http transparently replays a replayable request
 		// whose connection died before any response bytes, which would
@@ -102,6 +106,9 @@ func (c *Client) Do(ctx context.Context, method, url, contentType string, body [
 		if err != nil {
 			return retry.TransportError(err)
 		}
+		c.mu.Lock()
+		c.statuses[resp.StatusCode]++
+		c.mu.Unlock()
 		data, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
@@ -154,6 +161,13 @@ func (c *Client) Violations() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]string(nil), c.violations...)
+}
+
+// StatusCount returns how many attempts received the HTTP status code.
+func (c *Client) StatusCount(code int) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.statuses[code]
 }
 
 // CloseIdle tears down pooled connections (call before the leak check).

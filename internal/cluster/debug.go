@@ -172,6 +172,10 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 // health, and per-node RED stats from the gateway's own metric families
 // over the fast SLO window (since boot without federation).
 func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		g.methodNotAllowed(w, r, http.MethodGet)
+		return
+	}
 	st := g.currentState()
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html><html><head><title>prefcover gateway statusz</title>

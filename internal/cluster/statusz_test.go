@@ -10,7 +10,8 @@ import (
 
 // TestGatewayStatuszREDWindow: the forwarded-traffic RED table reads the
 // federation monitor's fast window (here the requests between the last
-// two scrapes) and counts since boot when federation is off.
+// two scrapes) and counts since boot when federation is off; like the
+// node's page, it answers only GET.
 func TestGatewayStatuszREDWindow(t *testing.T) {
 	statusz := func(t *testing.T, base string, wants ...string) {
 		t.Helper()
@@ -42,6 +43,16 @@ func TestGatewayStatuszREDWindow(t *testing.T) {
 	fx.gw.ScrapeNodes()
 	row := "<td>" + fx.nodeTS[0].URL + "</td><td>/v1/solve</td>"
 	statusz(t, fx.gwTS.URL, "<h2>Forwarded traffic (RED, fast SLO window, 1ns)</h2>", row+"<td>2</td>")
+
+	// The node's method check: GET only, 405 with Allow otherwise.
+	resp, err := http.Post(fx.gwTS.URL+"/debug/statusz", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" {
+		t.Errorf("POST /debug/statusz: code = %d, Allow = %q", resp.StatusCode, resp.Header.Get("Allow"))
+	}
 
 	off := bootFederated(t, 1, func(o *Options) { o.ScrapeInterval = 0 })
 	defer off.close()

@@ -14,7 +14,9 @@ package server
 //   - the client's retry counters exactly account for the injected faults:
 //     injector total == retries + give-ups, because each injected fault
 //     surfaces as exactly one transient observation and nothing else in
-//     the configuration can produce one.
+//     the configuration can produce one;
+//   - kind by kind, the client saw one 429 per injected throttle and one
+//     503 per injected unavail, never a connection error in their place.
 //
 // Everything is reproducible from the seed: the injector's fault schedule,
 // the workload's operation sequence, and the retry jitter all derive from
@@ -200,7 +202,18 @@ func runChaosServing(t *testing.T, seed int64) {
 		t.Errorf("retry accounting: injected %d faults (%s) but client observed %d (retries=%d giveups=%d)",
 			injected, httpInj.CountsString(), observed, client.Counters.Retries(), client.Counters.GiveUps())
 	}
+	// Kind by kind: the client saw each injected 429 and 503 as exactly
+	// that status. A fault that reached the client as a connection error
+	// instead keeps the total above but breaks these.
 	counts := httpInj.Counts()
+	t.Run("reconciles-status-kinds", func(t *testing.T) {
+		if got, want := client.StatusCount(http.StatusTooManyRequests), counts[faults.KindThrottle]; got != want {
+			t.Errorf("client saw %d 429s, injector drew %d throttle faults", got, want)
+		}
+		if got, want := client.StatusCount(http.StatusServiceUnavailable), counts[faults.KindUnavail]; got != want {
+			t.Errorf("client saw %d 503s, injector drew %d unavail faults", got, want)
+		}
+	})
 	withAfter := counts[faults.KindThrottle] + counts[faults.KindUnavail]
 	if h := client.Counters.Honored(); h > withAfter {
 		t.Errorf("honored Retry-After %d times but only %d injected faults carried one", h, withAfter)

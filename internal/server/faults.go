@@ -57,6 +57,13 @@ func (s *Server) withFaults(h http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		switch kind {
+		case faults.KindError, faults.KindThrottle, faults.KindUnavail:
+			// Read the body before answering: a connection closed over an
+			// unread upload (a large graph PUT) is reset, and the client
+			// sees "connection reset by peer" instead of the status.
+			_, _ = io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, s.limits.MaxBodyBytes))
+		}
+		switch kind {
 		case faults.KindError:
 			s.writeError(w, r, http.StatusInternalServerError,
 				fmt.Errorf("%w: internal error", faults.ErrInjected))

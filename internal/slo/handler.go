@@ -16,17 +16,11 @@ import (
 // this page is operator-first.
 func (m *Monitor) DebugHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		wantJSON, ok := negotiate(w, r)
+		if !ok {
 			return
 		}
 		st := m.Status()
-		wantJSON, err := jsonFromAccept(r.Header.Get("Accept"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotAcceptable)
-			return
-		}
 		if wantJSON {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
@@ -43,10 +37,13 @@ func (m *Monitor) DebugHandler() http.Handler {
 // running (the daemon was started without -slo-spec/-scrape-interval).
 func DisabledHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := Status{Enabled: false}
-		if wantJSON, err := jsonFromAccept(r.Header.Get("Accept")); err == nil && wantJSON {
+		wantJSON, ok := negotiate(w, r)
+		if !ok {
+			return
+		}
+		if wantJSON {
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(st)
+			_ = json.NewEncoder(w).Encode(Status{Enabled: false})
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -57,11 +54,18 @@ func DisabledHandler() http.Handler {
 	})
 }
 
-// jsonFromAccept resolves the /debug/slo representation: HTML (default,
-// also */*) or JSON.
-func jsonFromAccept(header string) (bool, error) {
+// negotiate is the prelude both /debug/slo handlers share: GET or HEAD
+// (405 otherwise), then HTML (the default, also */*) or JSON by Accept
+// (406 otherwise). ok is false once it has answered the request itself.
+func negotiate(w http.ResponseWriter, r *http.Request) (wantJSON, ok bool) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		w.Header().Set("Allow", "GET, HEAD")
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return false, false
+	}
+	header := r.Header.Get("Accept")
 	if strings.TrimSpace(header) == "" {
-		return false, nil
+		return false, true
 	}
 	for _, part := range strings.Split(header, ",") {
 		mt, _, err := mime.ParseMediaType(part)
@@ -70,12 +74,13 @@ func jsonFromAccept(header string) (bool, error) {
 		}
 		switch mt {
 		case "text/html", "text/*", "*/*":
-			return false, nil
+			return false, true
 		case "application/json", "application/*":
-			return true, nil
+			return true, true
 		}
 	}
-	return false, fmt.Errorf("not acceptable %q (use text/html or application/json)", header)
+	http.Error(w, fmt.Sprintf("not acceptable %q (use text/html or application/json)", header), http.StatusNotAcceptable)
+	return false, false
 }
 
 // stateBadge colors a state for the HTML table.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -74,18 +75,27 @@ func TestDebugHandlerJSON(t *testing.T) {
 }
 
 func TestDebugHandlerMethodsAndAccept(t *testing.T) {
-	m := newHandlerMonitor(t)
-	rr := httptest.NewRecorder()
-	m.DebugHandler().ServeHTTP(rr, httptest.NewRequest("POST", "/debug/slo", nil))
-	if rr.Code != 405 || rr.Header().Get("Allow") == "" {
-		t.Fatalf("POST: code = %d, Allow = %q", rr.Code, rr.Header().Get("Allow"))
-	}
-	req := httptest.NewRequest("GET", "/debug/slo", nil)
-	req.Header.Set("Accept", "image/png")
-	rr = httptest.NewRecorder()
-	m.DebugHandler().ServeHTTP(rr, req)
-	if rr.Code != 406 {
-		t.Fatalf("unacceptable Accept: code = %d, want 406", rr.Code)
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+	}{
+		{"monitor", newHandlerMonitor(t).DebugHandler()},
+		{"disabled", DisabledHandler()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rr := httptest.NewRecorder()
+			tc.h.ServeHTTP(rr, httptest.NewRequest("POST", "/debug/slo", nil))
+			if rr.Code != 405 || rr.Header().Get("Allow") != "GET, HEAD" {
+				t.Fatalf("POST: code = %d, Allow = %q", rr.Code, rr.Header().Get("Allow"))
+			}
+			req := httptest.NewRequest("GET", "/debug/slo", nil)
+			req.Header.Set("Accept", "image/png")
+			rr = httptest.NewRecorder()
+			tc.h.ServeHTTP(rr, req)
+			if rr.Code != 406 {
+				t.Fatalf("unacceptable Accept: code = %d, want 406", rr.Code)
+			}
+		})
 	}
 }
 

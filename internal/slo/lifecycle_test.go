@@ -357,3 +357,50 @@ func TestMonitorStartClose(t *testing.T) {
 	})
 	m2.Close()
 }
+
+// TestOverlappingTicksKeepNewestScrape: when a second tick starts while the
+// first is still scraping, the ring's newest snapshot must be the second
+// scrape. The first scrape blocks until the second tick has returned, or
+// for 100 ms when ticks are serialized and the second cannot start.
+func TestOverlappingTicksKeepNewestScrape(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var mu sync.Mutex
+	n := 0
+	m := NewMonitor(MonitorOptions{
+		Spec: Spec{},
+		Scrape: func() (*promtext.Metrics, error) {
+			mu.Lock()
+			n++
+			call := n
+			mu.Unlock()
+			if call == 1 {
+				close(started)
+				<-release
+			}
+			return promtext.Parse(strings.NewReader(fmt.Sprintf("scrape %d\n", call)))
+		},
+		Logger: slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil)),
+	})
+	defer m.Close()
+	first := make(chan struct{})
+	go func() { m.Tick(); close(first) }()
+	<-started
+	second := make(chan struct{})
+	go func() { m.Tick(); close(second) }()
+	select {
+	case <-second:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-first
+	<-second
+
+	_, newest, _, ok := m.DB().Window(time.Hour)
+	if !ok {
+		t.Fatalf("ring holds %d snapshots, want 2", m.DB().Len())
+	}
+	if got := newest.Samples("scrape"); len(got) != 1 || got[0].Value != 2 {
+		t.Fatalf("newest snapshot = %+v, want the second scrape", got)
+	}
+}

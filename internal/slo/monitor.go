@@ -66,6 +66,10 @@ type Monitor struct {
 	now         func() time.Time
 	db          *tsdb.DB
 
+	// tickMu makes each Tick's scrape and append one step, so the ring's
+	// newest snapshot is always the latest scrape.
+	tickMu sync.Mutex
+
 	mu          sync.Mutex
 	spec        Spec
 	alerts      map[string]*Alert // keyed by Objective.String()
@@ -191,8 +195,11 @@ func (m *Monitor) Close() {
 	m.notifyWG.Wait()
 }
 
-// Tick performs one scrape + evaluation round.
+// Tick performs one scrape + evaluation round. Overlapping calls run one
+// after the other, so MonitorOptions.Scrape must not call Tick.
 func (m *Monitor) Tick() {
+	m.tickMu.Lock()
+	defer m.tickMu.Unlock()
 	snap, err := m.scrape()
 	now := m.now()
 	m.mu.Lock()

@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"prefcover/internal/graph"
 )
@@ -22,18 +21,6 @@ const (
 
 // Presets lists all presets in Table 2 order.
 func Presets() []Preset { return []Preset{PE, PF, PM, YC} }
-
-// ParsePreset resolves a preset name case-insensitively ("yc" and "YC"
-// both name YooChoose), so CLI flags don't force the paper's
-// capitalization on users.
-func ParsePreset(name string) (Preset, error) {
-	for _, p := range Presets() {
-		if strings.EqualFold(name, string(p)) {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("synth: unknown preset %q (want PE, PF, PM, or YC)", name)
-}
 
 // presetShape captures the full-scale Table 2 numbers.
 type presetShape struct {
