@@ -24,6 +24,7 @@ FUZZ_TARGETS := \
 	./internal/jobs:FuzzJobRequestJSON \
 	./internal/faults:FuzzFaultSpec \
 	./internal/trace:FuzzTraceparent \
+	./internal/debugpage:FuzzNegotiate \
 	./internal/promtext:FuzzPromText \
 	./internal/slo:FuzzSLOSpec \
 	./internal/server:FuzzSolveResponseJSON \

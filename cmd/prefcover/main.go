@@ -5,11 +5,16 @@
 //
 // Subcommands:
 //
-//	gen    generate a synthetic clickstream (presets PE/PF/PM/YC)
-//	stats  summarize a clickstream
-//	adapt  build a preference graph from a clickstream
-//	solve  select the retained inventory from a graph (budget or threshold)
-//	eval   score an explicit retained set against a graph
+//	gen       generate a synthetic clickstream (presets PE/PF/PM/YC)
+//	import    convert a YooChoose (RecSys 2015) dataset to a clickstream
+//	stats     summarize a clickstream
+//	adapt     build a preference graph from a clickstream
+//	gstats    summarize a preference graph
+//	solve     select the retained inventory from a graph (budget or threshold)
+//	eval      score an explicit retained set against a graph
+//	simulate  Monte Carlo-validate a retained set against the graph
+//	remote    talk to a prefcoverd: push graphs, solve by reference, run async jobs
+//	version   print the build identity (module version, VCS revision, Go)
 //
 // Every subcommand reads stdin and writes stdout unless -in/-out are
 // given, so stages compose with pipes:
@@ -27,6 +32,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"text/tabwriter"
 
 	"prefcover/internal/version"
 )
@@ -59,7 +65,7 @@ func runVersion(ctx context.Context, args []string) error {
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -78,17 +84,19 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "prefcover: unknown command %q\n\n", name)
-	usage()
+	usage(os.Stderr)
 	os.Exit(2)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: prefcover <command> [flags]")
-	fmt.Fprintln(os.Stderr, "\ncommands:")
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: prefcover <command> [flags]")
+	fmt.Fprintln(w, "\ncommands:")
+	tw := tabwriter.NewWriter(w, 0, 0, 1, ' ', 0)
 	for _, c := range commands {
-		fmt.Fprintf(os.Stderr, "  %-6s %s\n", c.name, c.summary)
+		fmt.Fprintf(tw, "  %s\t%s\n", c.name, c.summary)
 	}
-	fmt.Fprintln(os.Stderr, "\nrun 'prefcover <command> -h' for flags")
+	tw.Flush()
+	fmt.Fprintln(w, "\nrun 'prefcover <command> -h' for flags")
 }
 
 // maybeGzip transparently decompresses inputs whose path ends in ".gz"

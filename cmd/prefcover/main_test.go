@@ -148,3 +148,29 @@ func TestPct(t *testing.T) {
 		t.Error("pct by zero")
 	}
 }
+
+// TestUsageColumns: the usage text lists every command, and every
+// command's summary starts at the same column.
+func TestUsageColumns(t *testing.T) {
+	var b bytes.Buffer
+	usage(&b)
+	col, listed := -1, 0
+	for _, line := range strings.Split(b.String(), "\n") {
+		for _, c := range commands {
+			if !strings.HasPrefix(line, "  "+c.name+" ") {
+				continue
+			}
+			listed++
+			at := strings.Index(line, c.summary)
+			if col < 0 {
+				col = at
+			}
+			if at != col {
+				t.Errorf("%s summary starts at column %d, want %d:\n%s", c.name, at, col, b.String())
+			}
+		}
+	}
+	if listed != len(commands) {
+		t.Errorf("usage lists %d of %d commands:\n%s", listed, len(commands), b.String())
+	}
+}

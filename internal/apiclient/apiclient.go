@@ -89,6 +89,31 @@ func NewRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// SanitizeRequestID returns id if it is printable ASCII of at most 128
+// bytes without quotes or backslashes, else "", so a hostile header
+// cannot inject log lines or break a JSON context.
+func SanitizeRequestID(id string) string {
+	if id == "" || len(id) > 128 {
+		return ""
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; c <= ' ' || c > '~' || c == '"' || c == '\\' {
+			return ""
+		}
+	}
+	return id
+}
+
+// RequestID resolves an inbound X-Request-ID: a usable one passes through
+// verbatim so callers can correlate their own IDs, anything else is
+// replaced by a NewRequestID.
+func RequestID(inbound string) string {
+	if id := SanitizeRequestID(inbound); id != "" {
+		return id
+	}
+	return NewRequestID()
+}
+
 // NewTraceparent mints a fresh W3C traceparent value (version 00, random
 // trace and span IDs). Callers without a trace of their own send one with
 // sampled=false: the header exercises the full propagation path without

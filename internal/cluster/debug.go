@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"html"
 	"net/http"
-	"strings"
 	"time"
 
-	"prefcover/internal/promtext"
+	"prefcover/internal/debugpage"
 	"prefcover/internal/slo"
 	"prefcover/internal/trace"
 	"prefcover/internal/tsdb"
@@ -74,18 +72,18 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 	}
 	node, err := normalizeNodeURL(r.URL.Query().Get("node"))
 	if err != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadRequest, err)
+		g.writeGatewayError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	switch action {
 	case "drain":
 		if g.state(node) == nil {
-			g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusNotFound,
+			g.writeGatewayError(w, r, http.StatusNotFound,
 				fmt.Errorf("unknown node %s", node))
 			return
 		}
 		if !g.ring.Remove(node) {
-			g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusConflict,
+			g.writeGatewayError(w, r, http.StatusConflict,
 				fmt.Errorf("node %s is already drained", node))
 			return
 		}
@@ -94,12 +92,12 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 	case "undrain":
 		ns := g.state(node)
 		if ns == nil {
-			g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusNotFound,
+			g.writeGatewayError(w, r, http.StatusNotFound,
 				fmt.Errorf("unknown node %s", node))
 			return
 		}
 		if !g.ring.Add(node) {
-			g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusConflict,
+			g.writeGatewayError(w, r, http.StatusConflict,
 				fmt.Errorf("node %s is not drained", node))
 			return
 		}
@@ -111,7 +109,7 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 		}
 		g.mu.Unlock()
 		if !g.ring.Add(node) {
-			g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusConflict,
+			g.writeGatewayError(w, r, http.StatusConflict,
 				fmt.Errorf("node %s is already a member", node))
 			return
 		}
@@ -122,7 +120,7 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 		g.mu.Unlock()
 		g.probeNode(node)
 	default:
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadRequest,
+		g.writeGatewayError(w, r, http.StatusBadRequest,
 			fmt.Errorf("unknown action %q (want drain|undrain|join|probe)", action))
 		return
 	}
@@ -164,7 +162,7 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if status, err := trace.Serve(w, r, g.tracer); err != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), status, err)
+		g.writeGatewayError(w, r, status, err)
 	}
 }
 
@@ -177,22 +175,10 @@ func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := g.currentState()
-	var b strings.Builder
-	b.WriteString(`<!DOCTYPE html><html><head><title>prefcover gateway statusz</title>
-<style>
-body{font-family:sans-serif;margin:2em;color:#222}
-table{border-collapse:collapse;margin:1em 0}
-td,th{border:1px solid #ccc;padding:4px 10px;text-align:left;font-size:14px}
-th{background:#f3f3f3}
-h1{font-size:22px}h2{font-size:17px;margin-top:1.6em}
-.ok{color:#070}.bad{color:#b00}.drain{color:#a60}
-small{color:#777}
-</style></head><body>
-`)
-	fmt.Fprintf(&b, "<h1>prefcover cluster gateway</h1>\n")
-	fmt.Fprintf(&b, "<p>uptime %s · ring %d nodes · R=%d · %d vnodes/node · %d sticky routes · %d tracked jobs</p>\n",
+	p := debugpage.New("prefcover gateway statusz", "prefcover cluster gateway")
+	p.Para(fmt.Sprintf("uptime %s · ring %d nodes · R=%d · %d vnodes/node · %d sticky routes · %d tracked jobs",
 		time.Since(g.start).Round(time.Second), len(st.RingNodes), st.Replicas, st.VNodes,
-		st.StickyKeys, st.TrackedJbs)
+		st.StickyKeys, st.TrackedJbs))
 
 	// With federation on, the Nodes panel carries live rate columns
 	// derived from the tsdb snapshot ring: request rate over the fast SLO
@@ -205,7 +191,8 @@ small{color:#777}
 	}
 	scrapeErrs := g.scrapeErrors()
 
-	b.WriteString("<h2>Nodes</h2>\n<table><tr><th>node</th><th>state</th><th>ring share</th><th>graphs</th><th>queue</th><th>running</th><th>in-flight</th><th>req/s</th><th>trend</th><th>last probe</th><th>last error</th></tr>\n")
+	p.Section("Nodes")
+	p.Table("node", "state", "ring share", "graphs", "queue", "running", "in-flight", "req/s", "trend", "last probe", "last error")
 	for _, ns := range st.Nodes {
 		state, class := "healthy", "ok"
 		switch {
@@ -231,8 +218,8 @@ small{color:#777}
 			pts := db.RatePoints("prefcover_node_http_requests_total", match, slowWin)
 			if len(pts) > 0 {
 				vals := make([]float64, len(pts))
-				for i, p := range pts {
-					vals[i] = p.Value
+				for i, pt := range pts {
+					vals[i] = pt.Value
 				}
 				spark = tsdb.Spark(vals)
 			}
@@ -244,55 +231,22 @@ small{color:#777}
 			}
 			lastErr += "scrape: " + e
 		}
-		fmt.Fprintf(&b, "<tr><td>%s</td><td class=%q>%s</td><td>%s</td><td>%d</td><td>%d/%d</td><td>%d</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td><small>%s</small></td></tr>\n",
-			html.EscapeString(ns.URL), class, state, share, ns.Graphs,
-			ns.QueueDepth, ns.QueueCap, ns.Running, ns.InFlight,
-			rate, spark, seen, html.EscapeString(lastErr))
+		p.Row(ns.URL, debugpage.State(class, state), share, ns.Graphs, fmt.Sprintf("%d/%d", ns.QueueDepth, ns.QueueCap),
+			ns.Running, ns.InFlight, rate, spark, seen, lastErr)
 	}
-	b.WriteString("</table>\n")
 
-	older, newer, _, scope := slo.StatusWindow(g.monitor, g.reg, g.start)
-	fmt.Fprintf(&b, "<h2>Forwarded traffic (RED, %s)</h2>\n<table><tr><th>node</th><th>endpoint</th><th>requests</th><th>p50</th><th>p99</th></tr>\n", scope)
-	type redRow struct {
-		node, endpoint string
-		count          float64
-		buckets        []tsdb.SeriesDelta
-	}
-	byKey := make(map[string]*redRow)
-	var rows []*redRow
-	row := func(ls promtext.Labels) *redRow {
-		node, _ := ls.Get("node")
-		endpoint, _ := ls.Get("endpoint")
-		r := byKey[node+"\x00"+endpoint]
-		if r == nil {
-			r = &redRow{node: node, endpoint: endpoint}
-			byKey[node+"\x00"+endpoint] = r
-			rows = append(rows, r)
-		}
-		return r
-	}
-	for _, d := range tsdb.Delta(older, newer, "prefcover_gateway_request_seconds_count", nil) {
-		row(d.Labels).count = d.Increase
-	}
-	for _, d := range tsdb.Delta(older, newer, "prefcover_gateway_request_seconds_bucket", nil) {
-		r := row(d.Labels)
-		r.buckets = append(r.buckets, d)
-	}
+	older, newer, _, scope := slo.StatusWindow(g.monitor, g.reg.Snapshot(), g.start)
+	p.Section(fmt.Sprintf("Forwarded traffic (RED, %s)", scope))
+	p.Table("node", "endpoint", "requests", "errors", "p50", "p99")
 	ms := func(q float64, buckets []tsdb.SeriesDelta) string {
 		if v, ok := tsdb.Quantile(q, buckets); ok {
 			return fmt.Sprintf("%.1fms", v*1000)
 		}
 		return "-"
 	}
-	for _, r := range rows { // snapshot order: sorted by node, then endpoint
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%.0f</td><td>%s</td><td>%s</td></tr>\n",
-			html.EscapeString(r.node), html.EscapeString(r.endpoint),
-			r.count, ms(0.5, r.buckets), ms(0.99, r.buckets))
+	for _, row := range tsdb.RED(older, newer, "prefcover_gateway_requests_total", "prefcover_gateway_request_seconds", nil, "node", "endpoint") {
+		p.Row(row.Group[0], row.Group[1], int64(row.Requests), int64(row.Errors), ms(0.5, row.Buckets), ms(0.99, row.Buckets))
 	}
-	b.WriteString("</table>\n")
-
-	b.WriteString(`<p><a href="/metrics">/metrics</a> · <a href="/debug/cluster">/debug/cluster</a> · <a href="/debug/slo">/debug/slo</a> · <a href="/debug/traces">/debug/traces</a></p>`)
-	b.WriteString("</body></html>\n")
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	p.Links("/metrics", "/debug/cluster", "/debug/slo", "/debug/traces")
+	p.Write(w)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -265,7 +266,22 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", g.handleCompute("/v1/stats"))
 	mux.HandleFunc("/v1/jobs", g.handleJobs)
 	mux.HandleFunc("/v1/jobs/", g.handleJob)
-	return mux
+	// One X-Request-ID per inbound request, its own when usable: forwarded
+	// to every node, named in the gateway's own errors, set on every response.
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := apiclient.RequestID(r.Header.Get("X-Request-ID"))
+		w.Header().Set("X-Request-ID", id)
+		mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
+	})
+}
+
+// requestIDKey carries the X-Request-ID Handler resolved for a request,
+// which requestIDOf returns.
+type requestIDKey struct{}
+
+func requestIDOf(r *http.Request) string {
+	id, _ := r.Context().Value(requestIDKey{}).(string)
+	return id
 }
 
 // handleReady reports gateway readiness: at least one healthy,
@@ -404,11 +420,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // writeGatewayError emits the server's JSON error envelope shape from
 // the gateway itself (routing failures, body-too-large, bad methods).
-func (g *Gateway) writeGatewayError(w http.ResponseWriter, requestID string, status int, err error) {
+func (g *Gateway) writeGatewayError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{
 		"error":     err.Error(),
-		"requestId": requestID,
+		"requestId": requestIDOf(r),
 	})
 }

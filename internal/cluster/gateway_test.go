@@ -243,3 +243,46 @@ func TestGatewayTracesQuery(t *testing.T) {
 		t.Errorf("Accept image/png = %d, want 406", png.StatusCode)
 	}
 }
+
+// TestGatewayRequestID: the gateway resolves one X-Request-ID per inbound
+// request with the node's policy. Errors the gateway writes itself name
+// it, an unusable inbound ID is replaced rather than echoed, and a
+// relayed response carries the ID exactly once.
+func TestGatewayRequestID(t *testing.T) {
+	fx := bootFederated(t, 1, func(o *Options) { o.ScrapeInterval = 0 })
+	defer fx.close()
+	do := func(method, path, id string) (*http.Response, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, fx.gwTS.URL+path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "" {
+			req.Header.Set("X-Request-ID", id)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			RequestID string `json:"requestId"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		return resp, body.RequestID
+	}
+	for _, inbound := range []string{"", strings.Repeat("a", 300), `quote"d`, `back\slash`} {
+		resp, bodyID := do(http.MethodPatch, "/v1/solve", inbound)
+		ids := resp.Header.Values("X-Request-ID")
+		if resp.StatusCode != http.StatusMethodNotAllowed || len(ids) != 1 || len(ids[0]) != 16 || bodyID != ids[0] {
+			t.Errorf("PATCH with X-Request-ID %.20q: status %d, header %q, body requestId %q; want 405 and one fresh 16-hex ID in both",
+				inbound, resp.StatusCode, ids, bodyID)
+		}
+	}
+	resp, bodyID := do(http.MethodPost, "/v1/solve?variant=i&k=3", "client-id-1")
+	if ids := resp.Header.Values("X-Request-ID"); len(ids) != 1 || ids[0] != "client-id-1" || bodyID != "client-id-1" {
+		t.Errorf("forwarded solve: X-Request-ID %q, body requestId %q; want client-id-1 once", ids, bodyID)
+	}
+}

@@ -34,8 +34,8 @@ type nodeResponse struct {
 // forward sends one logical call to the first candidate that answers,
 // failing over through the rest via internal/retry. Contract:
 //
-//   - One X-Request-ID per logical call, constant across attempts, taken
-//     from the inbound request when present.
+//   - One X-Request-ID per inbound request (the one Handler resolved),
+//     constant across attempts and calls.
 //   - One traceparent per attempt: when the inbound trace is sampled the
 //     gateway records a root span with a child per attempt, so the trace
 //     reads client -> gateway -> node; otherwise the inbound header (or
@@ -51,10 +51,7 @@ func (g *Gateway) forward(r *http.Request, endpoint, method, path, rawQuery stri
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("no nodes available for %s", path)
 	}
-	requestID := sanitizeRequestID(r.Header.Get("X-Request-ID"))
-	if requestID == "" {
-		requestID = apiclient.NewRequestID()
-	}
+	requestID := requestIDOf(r)
 	inboundTP := r.Header.Get(trace.TraceparentHeader)
 	var root *trace.Span
 	if sc, err := trace.ParseTraceparent(inboundTP); err == nil && sc.Sampled {
@@ -175,7 +172,8 @@ func copyForwardHeaders(dst, src http.Header) {
 	}
 }
 
-// relay writes a buffered node response to the client.
+// relay writes a buffered node response to the client. The node echoes
+// the forwarded X-Request-ID, which Handler has already set.
 func (g *Gateway) relay(w http.ResponseWriter, resp *nodeResponse) {
 	h := w.Header()
 	for k, vv := range resp.header {
@@ -187,7 +185,7 @@ func (g *Gateway) relay(w http.ResponseWriter, resp *nodeResponse) {
 				break
 			}
 		}
-		if hop || canonical == "Content-Length" {
+		if hop || canonical == "Content-Length" || canonical == "X-Request-Id" {
 			continue
 		}
 		for _, v := range vv {
@@ -206,12 +204,12 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, g.opts.MaxBodyBytes+1))
 	if err != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadRequest,
+		g.writeGatewayError(w, r, http.StatusBadRequest,
 			fmt.Errorf("reading request body: %w", err))
 		return nil, false
 	}
 	if int64(len(body)) > g.opts.MaxBodyBytes {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusRequestEntityTooLarge,
+		g.writeGatewayError(w, r, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds %d bytes", g.opts.MaxBodyBytes))
 		return nil, false
 	}
@@ -223,7 +221,7 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 func (g *Gateway) forwardAndRelay(w http.ResponseWriter, r *http.Request, endpoint, key string, body []byte, candidates []string) {
 	resp, err := g.forward(r, endpoint, r.Method, r.URL.Path, r.URL.RawQuery, body, candidates)
 	if err != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+		g.writeGatewayError(w, r, http.StatusBadGateway,
 			fmt.Errorf("all replicas failed: %w", err))
 		return
 	}
@@ -243,7 +241,7 @@ func (g *Gateway) forwardAndRelay(w http.ResponseWriter, r *http.Request, endpoi
 func (g *Gateway) forwardGraphKeyed(w http.ResponseWriter, r *http.Request, endpoint, key string, body []byte, candidates []string) {
 	resp, err := g.forwardWalk(r, endpoint, r.Method, r.URL.Path, r.URL.RawQuery, body, candidates)
 	if err != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+		g.writeGatewayError(w, r, http.StatusBadGateway,
 			fmt.Errorf("all replicas failed: %w", err))
 		return
 	}
@@ -352,7 +350,7 @@ func (g *Gateway) handleGraphList(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(seen) == 0 && firstErr != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+		g.writeGatewayError(w, r, http.StatusBadGateway,
 			fmt.Errorf("listing graphs: %w", firstErr))
 		return
 	}
@@ -364,7 +362,7 @@ func (g *Gateway) handleGraphList(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleGraph(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/v1/graphs/")
 	if name == "" || strings.Contains(name, "/") {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusNotFound,
+		g.writeGatewayError(w, r, http.StatusNotFound,
 			fmt.Errorf("no such graph route"))
 		return
 	}
@@ -391,13 +389,13 @@ func (g *Gateway) replicateGraph(w http.ResponseWriter, r *http.Request, name st
 	}
 	replicas := g.replicasFor(name)
 	if len(replicas) == 0 {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusServiceUnavailable,
+		g.writeGatewayError(w, r, http.StatusServiceUnavailable,
 			fmt.Errorf("ring is empty (all nodes drained?)"))
 		return
 	}
 	primaryResp, err := g.forward(r, "/v1/graphs/{name}", http.MethodPut, r.URL.Path, r.URL.RawQuery, body, replicas[:1])
 	if err != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+		g.writeGatewayError(w, r, http.StatusBadGateway,
 			fmt.Errorf("primary write failed: %w", err))
 		return
 	}
@@ -424,9 +422,6 @@ func (g *Gateway) replicateOne(r *http.Request, node, path, rawQuery string, bod
 	if etag != "" {
 		probe := r.Clone(r.Context())
 		probe.Header = http.Header{"If-None-Match": {etag}}
-		if id := r.Header.Get("X-Request-ID"); id != "" {
-			probe.Header.Set("X-Request-ID", id)
-		}
 		if tp := r.Header.Get(trace.TraceparentHeader); tp != "" {
 			probe.Header.Set(trace.TraceparentHeader, tp)
 		}
@@ -468,7 +463,7 @@ func (g *Gateway) deleteGraph(w http.ResponseWriter, r *http.Request, name strin
 	}
 	g.forgetSticky(name)
 	if best == nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+		g.writeGatewayError(w, r, http.StatusBadGateway,
 			fmt.Errorf("all replicas failed to delete %s", name))
 		return
 	}
@@ -546,13 +541,13 @@ func (g *Gateway) submitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := jobs.ParseRequest(body)
 	if err != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadRequest, err)
+		g.writeGatewayError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	candidates := g.graphCandidates(req.GraphRef)
 	resp, ferr := g.forwardWalk(r, "/v1/jobs", http.MethodPost, r.URL.Path, r.URL.RawQuery, body, candidates)
 	if ferr != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+		g.writeGatewayError(w, r, http.StatusBadGateway,
 			fmt.Errorf("all replicas failed: %w", ferr))
 		return
 	}
@@ -593,7 +588,7 @@ func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !got && firstErr != nil {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+		g.writeGatewayError(w, r, http.StatusBadGateway,
 			fmt.Errorf("listing jobs: %w", firstErr))
 		return
 	}
@@ -606,7 +601,7 @@ func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusNotFound,
+		g.writeGatewayError(w, r, http.StatusNotFound,
 			fmt.Errorf("no such job route"))
 		return
 	}
@@ -635,29 +630,14 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		g.relay(w, notFound)
 		return
 	}
-	g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusBadGateway,
+	g.writeGatewayError(w, r, http.StatusBadGateway,
 		fmt.Errorf("no node could answer for job %s", id))
 }
 
 func (g *Gateway) methodNotAllowed(w http.ResponseWriter, r *http.Request, allowed ...string) {
 	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	g.writeGatewayError(w, r.Header.Get("X-Request-ID"), http.StatusMethodNotAllowed,
+	g.writeGatewayError(w, r, http.StatusMethodNotAllowed,
 		fmt.Errorf("method %s not allowed", r.Method))
-}
-
-// sanitizeRequestID mirrors the server's inbound-ID policy: printable
-// ASCII up to 128 bytes, no quotes or backslashes.
-func sanitizeRequestID(id string) string {
-	if id == "" || len(id) > 128 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if c <= ' ' || c > '~' || c == '"' || c == '\\' {
-			return ""
-		}
-	}
-	return id
 }
 
 // forwardObserver wires retry lifecycle events into the failover

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"html/template"
 	"io"
 	"net/http"
 	"runtime"
 	"strconv"
 	"time"
 
+	"prefcover/internal/debugpage"
 	"prefcover/internal/version"
 )
 
@@ -32,8 +32,8 @@ type indexPayload struct {
 
 // Handler serves the /debug/profilez index:
 //
-//	GET  /debug/profilez                  HTML index (or JSON via
-//	                                      ?format=json / Accept: application/json)
+//	GET  /debug/profilez                  HTML index, or JSON via ?format=json
+//	                                      or Accept (406 for neither)
 //	GET  /debug/profilez?download=<id>    one retained capture, gzipped pprof
 //	POST /debug/profilez?capture=<kind>[&seconds=N]
 //	                                      on-demand capture; blocks for the
@@ -116,71 +116,43 @@ func (c *Capturer) indexPayload() indexPayload {
 }
 
 func (c *Capturer) serveIndex(w http.ResponseWriter, r *http.Request) {
-	p := c.indexPayload()
-	if r.URL.Query().Get("format") == "json" || acceptsJSON(r) {
+	accept := r.Header.Get("Accept")
+	offer := debugpage.Negotiate(accept, "text/html", "application/json")
+	if r.URL.Query().Get("format") == "json" {
+		offer = "application/json"
+	}
+	ix := c.indexPayload()
+	switch offer {
+	case "application/json":
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(p)
+		json.NewEncoder(w).Encode(ix)
+		return
+	case "":
+		http.Error(w, fmt.Sprintf("not acceptable %q (use text/html or application/json)", accept), http.StatusNotAcceptable)
 		return
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	indexTmpl.Execute(w, indexView{
-		indexPayload: p,
-		Uptime:       c.Uptime().Round(time.Second).String(),
-	})
-}
-
-func acceptsJSON(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	// Cheap negotiation: prefer JSON only when asked for explicitly and
-	// HTML is not; browsers send both with text/html ranked.
-	return accept == "application/json"
-}
-
-type indexView struct {
-	indexPayload
-	Uptime string
-}
-
-var indexFuncs = template.FuncMap{
-	"bytes": fmtBytes,
-	"ts":    func(t time.Time) string { return t.UTC().Format("2006-01-02 15:04:05Z") },
-	"secs": func(v float64) string {
-		if v <= 0 {
-			return "–"
+	p := debugpage.New("prefcoverd profilez", "/debug/profilez")
+	p.Para("git ", debugpage.Code(ix.GitSHA), fmt.Sprintf(" · %s · up %s · ring %d/%d files, %s of %s", ix.GoVersion,
+		c.Uptime().Round(time.Second), ix.Files, ix.MaxFiles, fmtBytes(ix.Bytes), fmtBytes(ix.MaxBytes)))
+	capture := []any{"On-demand capture: "}
+	for _, k := range Kinds() {
+		capture = append(capture, debugpage.HTML(`<form method="POST" action="?capture=`+k+`"><button>`+k+"</button></form> "))
+	}
+	p.Para(append(capture, "(cpu blocks for its sampling window; add ", debugpage.Code("&seconds=N"), ")")...)
+	p.Table("time (UTC)", "kind", "trigger", "window", "size", "")
+	for _, e := range ix.Captures {
+		window := "–"
+		if e.Seconds > 0 {
+			window = strconv.FormatFloat(e.Seconds, 'f', -1, 64) + "s"
 		}
-		return strconv.FormatFloat(v, 'f', -1, 64) + "s"
-	},
+		p.Row(e.Time.UTC().Format("2006-01-02 15:04:05Z"), e.Kind, e.Trigger, window, fmtBytes(e.Bytes),
+			debugpage.Link("?download="+e.ID, "download"))
+	}
+	if len(ix.Captures) == 0 {
+		p.Row(debugpage.HTML("<em>no captures yet</em>"))
+	}
+	p.Para("Profiles are gzipped pprof protobufs: ", debugpage.Code("go tool pprof <file>"), ". CPU samples carry ",
+		debugpage.Code("graph/strategy/endpoint/k_bucket/job"), " labels — filter with ", debugpage.Code("-tagfocus graph=..."),
+		". JSON index at ", debugpage.Code("?format=json"), ".")
+	p.Write(w)
 }
-
-var indexTmpl = template.Must(template.New("profilez").Funcs(indexFuncs).Parse(`<!doctype html>
-<html><head><title>prefcoverd profilez</title><style>
-body{font-family:system-ui,sans-serif;margin:1.5rem;color:#111}
-table{border-collapse:collapse;margin:0.75rem 0}
-th,td{border:1px solid #ccc;padding:0.3rem 0.6rem;text-align:left;font-size:0.9rem}
-th{background:#f3f3f3}
-code{background:#f5f5f5;padding:0 0.2rem}
-.meta{color:#555;font-size:0.9rem}
-form{display:inline}
-</style></head><body>
-<h1>/debug/profilez</h1>
-<p class="meta">git <code>{{.GitSHA}}</code> · {{.GoVersion}} · up {{.Uptime}} ·
-ring {{.Files}}/{{.MaxFiles}} files, {{bytes .Bytes}} of {{bytes .MaxBytes}}</p>
-<p>On-demand capture:
-{{range $k := .Kinds}}<form method="POST" action="?capture={{$k}}"><button>{{$k}}</button></form> {{end}}
-(cpu blocks for its sampling window; add <code>&amp;seconds=N</code>)</p>
-<table>
-<tr><th>time (UTC)</th><th>kind</th><th>trigger</th><th>window</th><th>size</th><th></th></tr>
-{{range .Captures}}<tr>
-<td>{{ts .Time}}</td><td>{{.Kind}}</td><td>{{.Trigger}}</td>
-<td>{{secs .Seconds}}</td><td>{{bytes .Bytes}}</td>
-<td><a href="?download={{.ID}}">download</a></td>
-</tr>{{else}}<tr><td colspan="6"><em>no captures yet</em></td></tr>{{end}}
-</table>
-<p class="meta">Profiles are gzipped pprof protobufs: <code>go tool pprof &lt;file&gt;</code>.
-CPU samples carry <code>graph</code>/<code>strategy</code>/<code>endpoint</code>/<code>k_bucket</code>/<code>job</code>
-labels — filter with <code>-tagfocus graph=...</code>. JSON index at <code>?format=json</code>.</p>
-</body></html>
-`))
-
-// Kinds is exposed to the template for the capture buttons.
-func (indexView) Kinds() []Kind { return Kinds() }

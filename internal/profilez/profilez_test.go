@@ -454,6 +454,34 @@ func itoa(i int) string {
 	return string(rune('0'+i/100%10)) + string(rune('0'+i/10%10)) + string(rune('0'+i%10))
 }
 
+// TestIndexNegotiation: the index picks its representation by Accept like
+// the other debug endpoints, and ?format=json wins over any Accept.
+func TestIndexNegotiation(t *testing.T) {
+	h := newTestCapturer(t, Options{}).Handler()
+	for _, tc := range []struct {
+		target, accept string
+		code           int
+		ct             string
+	}{
+		{"/debug/profilez", "", http.StatusOK, "text/html"},
+		{"/debug/profilez", "text/html,application/xhtml+xml,*/*;q=0.8", http.StatusOK, "text/html"},
+		{"/debug/profilez", "application/json", http.StatusOK, "application/json"},
+		{"/debug/profilez", "application/json; charset=utf-8", http.StatusOK, "application/json"},
+		{"/debug/profilez", "application/json, text/html", http.StatusOK, "application/json"},
+		{"/debug/profilez", "image/png", http.StatusNotAcceptable, "text/plain"},
+		{"/debug/profilez?format=json", "text/html", http.StatusOK, "application/json"},
+		{"/debug/profilez?format=json", "image/png", http.StatusOK, "application/json"},
+	} {
+		req := httptest.NewRequest(http.MethodGet, tc.target, nil)
+		req.Header.Set("Accept", tc.accept)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if ct := rr.Header().Get("Content-Type"); rr.Code != tc.code || !strings.HasPrefix(ct, tc.ct) {
+			t.Errorf("GET %s, Accept %q: %d %q, want %d %s", tc.target, tc.accept, rr.Code, ct, tc.code, tc.ct)
+		}
+	}
+}
+
 func readAll(r io.Reader) (string, error) {
 	b, err := io.ReadAll(r)
 	return string(b), err

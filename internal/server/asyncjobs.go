@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"prefcover"
+	"prefcover/internal/apiclient"
 	"prefcover/internal/jobs"
 	"prefcover/internal/trace"
 )
@@ -121,7 +122,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	// key lands on the already-enqueued job instead of creating a second
 	// one. The sanitizer mirrors X-Request-ID's (header values must stay
 	// log- and JSON-safe).
-	idemKey := sanitizeRequestID(r.Header.Get("Idempotency-Key"))
+	idemKey := apiclient.SanitizeRequestID(r.Header.Get("Idempotency-Key"))
 	// The submitter's trace position (extracted from traceparent by the
 	// middleware) crosses the queue boundary with the job, so worker-side
 	// solve spans join the same trace as this POST.

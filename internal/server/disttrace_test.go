@@ -275,6 +275,7 @@ func TestStatuszPage(t *testing.T) {
 		"prefcover_store_graphs",
 		"prefcover_jobs_queue_depth",
 		"Slowest traces",
+		"Slowest traces (last 8 recorded, worst 10)", // the ring EnableTracing built
 		`href="/debug/traces?trace=`,
 		"<p>none</p>", // no fault injector armed
 	} {

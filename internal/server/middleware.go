@@ -6,8 +6,6 @@ package server
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -15,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"prefcover/internal/apiclient"
 	"prefcover/internal/promtext"
 	"prefcover/internal/trace"
 )
@@ -56,36 +55,6 @@ func graphNameFrom(ctx context.Context) string {
 	return name
 }
 
-// ensureRequestID returns the inbound X-Request-ID when usable, otherwise
-// a fresh random ID. Inbound IDs pass through verbatim so callers can
-// correlate their own identifiers across header, logs and error bodies.
-func ensureRequestID(r *http.Request) string {
-	if id := sanitizeRequestID(r.Header.Get("X-Request-ID")); id != "" {
-		return id
-	}
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return "unidentified"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID accepts printable-ASCII IDs up to 128 bytes (no
-// quotes or backslashes, which would complicate log and JSON contexts);
-// anything else is discarded so a hostile header cannot inject log lines.
-func sanitizeRequestID(id string) string {
-	if id == "" || len(id) > 128 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if c <= ' ' || c > '~' || c == '"' || c == '\\' {
-			return ""
-		}
-	}
-	return id
-}
-
 // statusRecorder captures the response code and body size for the request
 // counter and the access log.
 type statusRecorder struct {
@@ -121,7 +90,7 @@ func (s *Server) sampleTrace() bool {
 func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) http.HandlerFunc {
 	distributed := strings.HasPrefix(endpoint, "/v1/")
 	return func(w http.ResponseWriter, r *http.Request) {
-		reqID := ensureRequestID(r)
+		reqID := apiclient.RequestID(r.Header.Get("X-Request-ID"))
 		w.Header().Set("X-Request-ID", reqID)
 		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		ctx := context.WithValue(r.Context(), reqIDKey{}, reqID)
@@ -234,6 +203,7 @@ func (s *Server) updateServing() {
 		s.met.graphSolves.With(info.Name).Set(info.Solves)
 	}
 	s.met.cacheEntries.With().Set(int64(s.cache.Len()))
+	s.met.cacheBytes.With().Set(s.cache.Bytes())
 	s.met.jobsQueueDepth.With().Set(int64(s.jobs.Depth()))
 	s.met.jobsRunning.With().Set(int64(s.jobs.Running()))
 	files, bytes := s.capturer.Stats()

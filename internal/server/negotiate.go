@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"prefcover"
+	"prefcover/internal/debugpage"
 )
 
 // graphFormat enumerates the wire codecs.
@@ -75,27 +76,16 @@ func graphFormatFromContentType(header string) (graphFormat, error) {
 	}
 }
 
-// graphFormatFromAccept resolves a download's format. Empty, */* and
-// application/* mean JSON; the Accept header is scanned left to right and
-// the first recognized type wins (no q-value arithmetic — three formats do
-// not need it).
+// graphFormatFromAccept resolves a download's format: JSON by default,
+// text/* is TSV, and text/json and text/tsv are aliases.
 func graphFormatFromAccept(header string) (graphFormat, error) {
-	if strings.TrimSpace(header) == "" {
+	switch debugpage.Negotiate(header, mediaJSON, mediaBinary, mediaTSV, "text/tsv", "text/json") {
+	case mediaJSON, "text/json":
 		return formatJSON, nil
-	}
-	for _, part := range strings.Split(header, ",") {
-		mt, _, err := mime.ParseMediaType(part)
-		if err != nil {
-			continue
-		}
-		switch mt {
-		case mediaJSON, "text/json", "*/*", "application/*":
-			return formatJSON, nil
-		case mediaBinary:
-			return formatBinary, nil
-		case mediaTSV, "text/tsv", "text/*":
-			return formatTSV, nil
-		}
+	case mediaBinary:
+		return formatBinary, nil
+	case mediaTSV, "text/tsv":
+		return formatTSV, nil
 	}
 	return formatJSON, &errUnsupportedMedia{ct: header}
 }

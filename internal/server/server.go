@@ -342,6 +342,7 @@ type serverMetrics struct {
 	cacheEvictions     *metrics.CounterVec // prefcover_solvecache_evictions_total
 	cacheInvalidations *metrics.CounterVec // prefcover_solvecache_invalidated_total
 	cacheEntries       *metrics.GaugeVec   // prefcover_solvecache_entries
+	cacheBytes         *metrics.GaugeVec   // prefcover_solvecache_bytes
 	storeGraphs        *metrics.GaugeVec   // prefcover_store_graphs
 	storeBytes         *metrics.GaugeVec   // prefcover_store_bytes
 	graphSolves        *metrics.GaugeVec   // prefcover_store_graph_solves{graph}
@@ -414,6 +415,8 @@ func newServerMetrics() *serverMetrics {
 			"Cached solve results dropped because their graph content was replaced or deleted."),
 		cacheEntries: r.NewGauge("prefcover_solvecache_entries",
 			"Cached solve results at scrape time."),
+		cacheBytes: r.NewGauge("prefcover_solvecache_bytes",
+			"Approximate bytes retained by cached solve results."),
 		storeGraphs: r.NewGauge("prefcover_store_graphs",
 			"Graphs registered at scrape time."),
 		storeBytes: r.NewGauge("prefcover_store_bytes",

@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -96,4 +97,29 @@ func TestStatuszConcurrentTicks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStatuszGaugesOnMetrics: every gauge the Runtime and Serving tables
+// name is a family on the same server's /metrics.
+func TestStatuszGaugesOnMetrics(t *testing.T) {
+	_, ts := newServingServer(t, Config{})
+	_, page := doReq(t, http.MethodGet, ts.URL+"/debug/statusz", nil, nil)
+	_, scrape := doReq(t, http.MethodGet, ts.URL+"/metrics", nil, nil)
+	row := regexp.MustCompile(`<tr><td>(prefcover_[a-z_]+)</td>`)
+	for _, section := range []string{"Runtime", "Serving"} {
+		_, rest, ok := strings.Cut(string(page), "<h2>"+section+"</h2>\n")
+		if !ok {
+			t.Fatalf("statusz has no %s section", section)
+		}
+		table, _, _ := strings.Cut(rest, "</table>")
+		names := row.FindAllStringSubmatch(table, -1)
+		if len(names) == 0 {
+			t.Errorf("statusz %s table names no metric", section)
+		}
+		for _, m := range names {
+			if !strings.Contains(string(scrape), "# TYPE "+m[1]+" ") {
+				t.Errorf("statusz %s table names %s, which /metrics does not export", section, m[1])
+			}
+		}
+	}
 }

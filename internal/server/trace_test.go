@@ -93,8 +93,9 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestRequestIDGenerated covers the other two branches of ensureRequestID:
-// no inbound ID at all, and a hostile one that must be discarded.
+// TestRequestIDGenerated covers the other two branches of
+// apiclient.RequestID: no inbound ID at all, and a hostile one that must
+// be discarded.
 func TestRequestIDGenerated(t *testing.T) {
 	srv := New(Limits{}, nil)
 	ts := httptest.NewServer(srv.Handler())

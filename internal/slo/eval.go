@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"strings"
 	"time"
 
 	"prefcover/internal/tsdb"
@@ -120,31 +119,26 @@ func evaluate(db *tsdb.DB, cfg EvalConfig, o Objective) Evaluation {
 }
 
 func windowBurn(db *tsdb.DB, cfg EvalConfig, o Objective, window time.Duration) WindowBurn {
-	match := map[string]string{"endpoint": o.Endpoint}
+	older, newer, _, ok := db.Window(window)
+	if !ok {
+		return WindowBurn{}
+	}
+	rows := tsdb.RED(older, newer, cfg.RequestsMetric, cfg.LatencyMetric, map[string]string{"endpoint": o.Endpoint}, "endpoint")
+	if len(rows) == 0 {
+		return WindowBurn{}
+	}
 	if o.Kind.Latency() {
-		buckets, _, _ := db.Increases(cfg.LatencyMetric+"_bucket", match, window)
-		observed, ok := tsdb.Quantile(o.Kind.Quantile(), buckets)
+		observed, ok := tsdb.Quantile(o.Kind.Quantile(), rows[0].Buckets)
 		if !ok {
 			return WindowBurn{}
 		}
 		return WindowBurn{Burn: observed / o.Target, Value: observed, OK: true}
 	}
-	deltas, _, ok := db.Increases(cfg.RequestsMetric, match, window)
-	if !ok {
-		return WindowBurn{}
-	}
-	var total, errs float64
-	for _, d := range deltas {
-		total += d.Increase
-		if code, _ := d.Labels.Get("code"); strings.HasPrefix(code, "5") {
-			errs += d.Increase
-		}
-	}
-	if total <= 0 {
+	if rows[0].Requests <= 0 {
 		// No traffic in the window: nothing to burn the budget.
 		return WindowBurn{}
 	}
-	ratio := errs / total
+	ratio := rows[0].Errors / rows[0].Requests
 	return WindowBurn{Burn: ratio / o.Budget(), Value: ratio, OK: true}
 }
 

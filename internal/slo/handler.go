@@ -3,17 +3,15 @@ package slo
 import (
 	"encoding/json"
 	"fmt"
-	"html"
-	"mime"
 	"net/http"
-	"strings"
 	"time"
+
+	"prefcover/internal/debugpage"
 )
 
 // DebugHandler serves the monitor at /debug/slo: an HTML dashboard by
-// default (also text/html), JSON for Accept: application/json — the same
-// negotiation convention /debug/traces uses, inverted defaults because
-// this page is operator-first.
+// default, JSON for Accept: application/json — /debug/traces' negotiation
+// with HTML first, because this page is operator-first.
 func (m *Monitor) DebugHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		wantJSON, ok := negotiate(w, r)
@@ -28,7 +26,6 @@ func (m *Monitor) DebugHandler() http.Handler {
 			_ = enc.Encode(st)
 			return
 		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		writeHTML(w, st)
 	})
 }
@@ -46,11 +43,10 @@ func DisabledHandler() http.Handler {
 			_ = json.NewEncoder(w).Encode(Status{Enabled: false})
 			return
 		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, "<!DOCTYPE html>\n<html><head><title>prefcoverd slo</title></head><body>\n"+
-			"<h1>SLO monitor disabled</h1>\n"+
-			"<p>Start prefcoverd with <code>-slo-spec</code> (e.g. <code>avail:/v1/solve:99.9</code>) to enable burn-rate alerting.</p>\n"+
-			"</body></html>\n")
+		p := debugpage.New("prefcoverd slo", "SLO monitor disabled")
+		p.Para("Start prefcoverd with ", debugpage.Code("-slo-spec"), " (e.g. ", debugpage.Code("avail:/v1/solve:99.9"),
+			") to enable burn-rate alerting.")
+		p.Write(w)
 	})
 }
 
@@ -64,81 +60,49 @@ func negotiate(w http.ResponseWriter, r *http.Request) (wantJSON, ok bool) {
 		return false, false
 	}
 	header := r.Header.Get("Accept")
-	if strings.TrimSpace(header) == "" {
+	switch debugpage.Negotiate(header, "text/html", "application/json") {
+	case "text/html":
 		return false, true
-	}
-	for _, part := range strings.Split(header, ",") {
-		mt, _, err := mime.ParseMediaType(part)
-		if err != nil {
-			continue
-		}
-		switch mt {
-		case "text/html", "text/*", "*/*":
-			return false, true
-		case "application/json", "application/*":
-			return true, true
-		}
+	case "application/json":
+		return true, true
 	}
 	http.Error(w, fmt.Sprintf("not acceptable %q (use text/html or application/json)", header), http.StatusNotAcceptable)
 	return false, false
 }
 
-// stateBadge colors a state for the HTML table.
-func stateBadge(st State) string {
-	color := "#888"
-	switch st {
-	case StateFiring:
-		color = "#c0392b"
-	case StatePending:
-		color = "#e67e22"
-	case StateResolved:
-		color = "#27ae60"
-	}
-	return fmt.Sprintf("<span style=\"color:%s;font-weight:bold\">%s</span>", color, html.EscapeString(string(st)))
-}
+// stateClasses colour alert states in the HTML table.
+var stateClasses = map[State]string{StateFiring: "bad", StatePending: "drain", StateResolved: "ok", StateInactive: "idle"}
 
 func burnCell(w WindowBurn) string {
 	if !w.OK {
-		return "<td>–</td>"
+		return "–"
 	}
-	return fmt.Sprintf("<td>%.2f× (%.4g)</td>", w.Burn, w.Value)
+	return fmt.Sprintf("%.2f× (%.4g)", w.Burn, w.Value)
 }
 
 func writeHTML(w http.ResponseWriter, st Status) {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html><head><title>prefcoverd slo</title></head><body>\n")
-	b.WriteString("<h1>SLO burn-rate monitor</h1>\n")
-	b.WriteString("<table border=\"1\" cellpadding=\"4\">\n")
-	fmt.Fprintf(&b, "<tr><td>spec</td><td><code>%s</code></td></tr>\n", html.EscapeString(st.Spec))
-	fmt.Fprintf(&b, "<tr><td>windows</td><td>fast %s / slow %s, for %s</td></tr>\n",
-		html.EscapeString(st.FastWindow), html.EscapeString(st.SlowWindow), html.EscapeString(st.ForDuration))
-	fmt.Fprintf(&b, "<tr><td>ticks</td><td>%d (%d snapshots retained, %d transitions)</td></tr>\n",
-		st.Ticks, st.Snapshots, st.Transitions)
+	p := debugpage.New("prefcoverd slo", "SLO burn-rate monitor")
+	p.Row("spec", debugpage.Code(st.Spec))
+	p.Row("windows", fmt.Sprintf("fast %s / slow %s, for %s", st.FastWindow, st.SlowWindow, st.ForDuration))
+	p.Row("ticks", fmt.Sprintf("%d (%d snapshots retained, %d transitions)", st.Ticks, st.Snapshots, st.Transitions))
 	if !st.LastTick.IsZero() {
-		fmt.Fprintf(&b, "<tr><td>last tick</td><td>%s</td></tr>\n", st.LastTick.UTC().Format(time.RFC3339))
+		p.Row("last tick", st.LastTick.UTC().Format(time.RFC3339))
 	}
 	if st.ScrapeError != "" {
-		fmt.Fprintf(&b, "<tr><td>scrape error</td><td>%s</td></tr>\n", html.EscapeString(st.ScrapeError))
+		p.Row("scrape error", st.ScrapeError)
 	}
-	b.WriteString("</table>\n")
-	b.WriteString("<h2>Alerts</h2>\n")
+	p.Section("Alerts")
 	if len(st.Alerts) == 0 {
-		b.WriteString("<p>No objectives configured.</p>\n")
+		p.Para("No objectives configured.")
 	} else {
-		b.WriteString("<table border=\"1\" cellpadding=\"4\">\n")
-		b.WriteString("<tr><th>objective</th><th>alert</th><th>state</th><th>severity</th><th>fast burn</th><th>slow burn</th><th>since</th></tr>\n")
+		p.Table("objective", "alert", "state", "severity", "fast burn", "slow burn", "since")
 		for _, a := range st.Alerts {
 			since := ""
 			if !a.Since.IsZero() {
 				since = a.Since.UTC().Format(time.RFC3339)
 			}
-			fmt.Fprintf(&b, "<tr><td><code>%s</code></td><td>%s</td><td>%s</td><td>%s</td>%s%s<td>%s</td></tr>\n",
-				html.EscapeString(a.Objective), html.EscapeString(a.Alert), stateBadge(a.State),
-				html.EscapeString(string(a.Severity)), burnCell(a.Fast), burnCell(a.Slow),
-				html.EscapeString(since))
+			p.Row(debugpage.Code(a.Objective), a.Alert, debugpage.State(stateClasses[a.State], string(a.State)), a.Severity, burnCell(a.Fast), burnCell(a.Slow), since)
 		}
-		b.WriteString("</table>\n")
 	}
-	b.WriteString("</body></html>\n")
-	_, _ = w.Write([]byte(b.String()))
+	p.Write(w)
 }

@@ -138,15 +138,15 @@ func (m *Monitor) DB() *tsdb.DB { return m.db }
 
 // StatusWindow picks the snapshots a statusz RED table compares, and the
 // caption saying which: the monitor's fast window once its ring holds two
-// snapshots, else everything reg counted since started. m may be nil (no
-// monitor).
-func StatusWindow(m *Monitor, reg *metrics.Registry, started time.Time) (older, newer *promtext.Metrics, elapsed time.Duration, scope string) {
+// snapshots, else everything the current snapshot now counted since
+// started. m may be nil (no monitor).
+func StatusWindow(m *Monitor, now *promtext.Metrics, started time.Time) (older, newer *promtext.Metrics, elapsed time.Duration, scope string) {
 	if m != nil {
 		if older, newer, elapsed, ok := m.db.Window(m.eval.FastWindow); ok {
 			return older, newer, elapsed, "fast SLO window, " + m.eval.FastWindow.String()
 		}
 	}
-	return nil, reg.Snapshot(), time.Since(started), "since boot"
+	return nil, now, time.Since(started), "since boot"
 }
 
 // Spec returns the objective set.

@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
+
+	"prefcover/internal/debugpage"
 )
 
 // ChromeEvent is one Chrome trace-event: "ph":"X" complete events for
@@ -222,14 +223,14 @@ func Serve(w http.ResponseWriter, r *http.Request, t *Tracer) (int, error) {
 			roots = roots[len(roots)-n:] // ring is oldest-first; keep the newest N
 		}
 	}
-	tree := q.Get("format") == "tree"
-	if !tree {
-		var err error
-		if tree, err = treeFromAccept(r.Header.Get("Accept")); err != nil {
-			return http.StatusNotAcceptable, err
-		}
+	offer := debugpage.Negotiate(r.Header.Get("Accept"), "application/json", "text/plain")
+	if q.Get("format") == "tree" {
+		offer = "text/plain"
 	}
-	if tree {
+	switch offer {
+	case "":
+		return http.StatusNotAcceptable, fmt.Errorf("not acceptable %q (use application/json or text/plain)", r.Header.Get("Accept"))
+	case "text/plain":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, root := range roots {
 			_ = WriteTreeSpan(w, root)
@@ -243,26 +244,4 @@ func Serve(w http.ResponseWriter, r *http.Request, t *Tracer) (int, error) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = WriteChromeEvents(w, ChromeEvents(roots, epoch))
 	return http.StatusOK, nil
-}
-
-// treeFromAccept resolves the /debug/traces representation: JSON (the
-// default, also */*) or the text tree. An Accept that matches neither is a
-// 406.
-func treeFromAccept(header string) (bool, error) {
-	if strings.TrimSpace(header) == "" {
-		return false, nil
-	}
-	for _, part := range strings.Split(header, ",") {
-		mt, _, err := mime.ParseMediaType(part)
-		if err != nil {
-			continue
-		}
-		switch mt {
-		case "application/json", "application/*", "*/*":
-			return false, nil
-		case "text/plain", "text/*":
-			return true, nil
-		}
-	}
-	return false, fmt.Errorf("not acceptable %q (use application/json or text/plain)", header)
 }

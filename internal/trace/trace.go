@@ -98,6 +98,9 @@ func (t *Tracer) Snapshot() []*Span {
 	return out
 }
 
+// Capacity is the number of root traces the ring holds.
+func (t *Tracer) Capacity() int { return t.capacity }
+
 // Dropped counts root traces evicted from the ring so far.
 func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()

@@ -14,6 +14,7 @@ package tsdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -250,6 +251,56 @@ func Quantile(q float64, buckets []SeriesDelta) (float64, bool) {
 		return merged[n-2].le, true
 	}
 	return merged[n-1].le, true
+}
+
+// REDRow is one group's requests, errors and duration between two snapshots.
+type REDRow struct {
+	Group    []string // values of the grouping labels, in the order named
+	Requests float64
+	Errors   float64       // responses with a 5xx code
+	Buckets  []SeriesDelta // the latency histogram's _bucket deltas, for Quantile
+}
+
+// RED joins requests, a counter labelled code, to latency, the histogram
+// (named without _bucket) of the same requests, from older to newer as
+// Delta does, over the series matching match. It groups rows by the
+// values of the by labels, busiest first, and it alone decides that a
+// 5xx code is an error.
+func RED(older, newer *promtext.Metrics, requests, latency string, match map[string]string, by ...string) []REDRow {
+	groups := make(map[string]*REDRow)
+	row := func(ls promtext.Labels) *REDRow {
+		group := make([]string, len(by))
+		for i, name := range by {
+			group[i], _ = ls.Get(name)
+		}
+		key := strings.Join(group, "\x00")
+		if groups[key] == nil {
+			groups[key] = &REDRow{Group: group}
+		}
+		return groups[key]
+	}
+	for _, d := range Delta(older, newer, requests, match) {
+		r := row(d.Labels)
+		r.Requests += d.Increase
+		if code, _ := d.Labels.Get("code"); strings.HasPrefix(code, "5") {
+			r.Errors += d.Increase
+		}
+	}
+	for _, d := range Delta(older, newer, latency+"_bucket", match) {
+		r := row(d.Labels)
+		r.Buckets = append(r.Buckets, d)
+	}
+	rows := make([]REDRow, 0, len(groups))
+	for _, r := range groups {
+		rows = append(rows, *r)
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Requests != rows[j].Requests {
+			return rows[i].Requests > rows[j].Requests
+		}
+		return slices.Compare(rows[i].Group, rows[j].Group) < 0
+	})
+	return rows
 }
 
 // Point is one (time, value) pair of a series trajectory.

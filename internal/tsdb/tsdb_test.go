@@ -251,3 +251,55 @@ func TestNotEnoughHistory(t *testing.T) {
 		t.Fatal("single snapshot cannot produce a delta")
 	}
 }
+
+// TestRED covers the join the statusz pages and the SLO evaluator share:
+// grouping by one label and by two, the 5xx split, a counter reset, and a
+// nil older snapshot read as since boot.
+func TestRED(t *testing.T) {
+	older := mustParse(t, `prefcover_gateway_requests_total{node="a",endpoint="/v1/solve",code="200"} 10
+prefcover_gateway_requests_total{node="a",endpoint="/v1/solve",code="503"} 1
+prefcover_gateway_requests_total{node="b",endpoint="/v1/solve",code="200"} 50
+prefcover_gateway_request_seconds_bucket{node="a",endpoint="/v1/solve",le="0.1"} 11
+prefcover_gateway_request_seconds_bucket{node="a",endpoint="/v1/solve",le="+Inf"} 11
+`)
+	newer := mustParse(t, `prefcover_gateway_requests_total{node="a",endpoint="/v1/solve",code="200"} 16
+prefcover_gateway_requests_total{node="a",endpoint="/v1/solve",code="503"} 3
+prefcover_gateway_requests_total{node="a",endpoint="/v1/graphs/{name}",code="200"} 1
+prefcover_gateway_requests_total{node="b",endpoint="/v1/solve",code="200"} 4
+prefcover_gateway_requests_total{node="b",endpoint="/v1/solve",code="500"} 4
+prefcover_gateway_request_seconds_bucket{node="a",endpoint="/v1/solve",le="0.1"} 15
+prefcover_gateway_request_seconds_bucket{node="a",endpoint="/v1/solve",le="+Inf"} 19
+`)
+	type want struct {
+		group            string
+		requests, errors float64
+		buckets          int
+	}
+	check := func(t *testing.T, rows []REDRow, wants ...want) {
+		t.Helper()
+		if len(rows) != len(wants) {
+			t.Fatalf("%d rows, want %d: %+v", len(rows), len(wants), rows)
+		}
+		for i, w := range wants {
+			r := rows[i]
+			if got := strings.Join(r.Group, " "); got != w.group || r.Requests != w.requests || r.Errors != w.errors || len(r.Buckets) != w.buckets {
+				t.Errorf("row %d = %q %g req %g err %d buckets, want %+v", i, got, r.Requests, r.Errors, len(r.Buckets), w)
+			}
+		}
+	}
+	const reqs, lat = "prefcover_gateway_requests_total", "prefcover_gateway_request_seconds"
+
+	// Node b's 200 counter fell from 50 to 4: a reset, so its increase is
+	// the post-reset value. Rows come busiest first, ties by group.
+	check(t, RED(older, newer, reqs, lat, nil, "node", "endpoint"),
+		want{"a /v1/solve", 8, 2, 2}, want{"b /v1/solve", 8, 4, 0}, want{"a /v1/graphs/{name}", 1, 0, 0})
+	check(t, RED(older, newer, reqs, lat, nil, "endpoint"),
+		want{"/v1/solve", 16, 6, 2}, want{"/v1/graphs/{name}", 1, 0, 0})
+	check(t, RED(older, newer, reqs, lat, map[string]string{"node": "a"}, "node"), want{"a", 9, 2, 2})
+	if p, ok := Quantile(0.25, RED(older, newer, reqs, lat, nil, "endpoint")[0].Buckets); !ok || p != 0.05 {
+		t.Errorf("p25 over the joined buckets = %g, %v; want 0.05", p, ok)
+	}
+	// Since boot: every counter's whole value.
+	check(t, RED(nil, newer, reqs, lat, nil, "endpoint"),
+		want{"/v1/solve", 27, 7, 2}, want{"/v1/graphs/{name}", 1, 0, 0})
+}
