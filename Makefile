@@ -6,9 +6,10 @@ FUZZTIME ?= 10s
 # CHAOS_SEEDS=... to replay a specific failing schedule.
 CHAOS_SEEDS ?= 1,7,1337
 
-# Packages whose test coverage is floored (the resilience layer: silent
-# coverage rot here would hollow out the chaos suite's guarantees).
-COVER_PKGS := ./internal/retry ./internal/faults
+# Packages whose test coverage is floored (the resilience layer and the
+# gateway that routes around failures: silent coverage rot here would
+# hollow out the chaos suite's guarantees and the gateway's routing tests).
+COVER_PKGS := ./internal/retry ./internal/faults ./internal/cluster
 COVER_FLOOR := 70
 
 # Every fuzz target in the repo, as package:Func pairs. go test allows only
@@ -56,7 +57,7 @@ chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -run '^TestChaos' \
 		./internal/server ./internal/cluster
 
-# cover enforces a coverage floor on the resilience packages.
+# cover enforces a coverage floor on the resilience packages and the gateway.
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \
 		pct=$$($(GO) test -cover $$pkg | awk '{for (i=1;i<=NF;i++) if ($$i ~ /%$$/) {sub("%","",$$i); print $$i}}'); \

@@ -35,6 +35,7 @@ import (
 	"prefcover/internal/retry"
 	iserver "prefcover/internal/server"
 	isimilarity "prefcover/internal/similarity"
+	"prefcover/internal/slo"
 	"prefcover/internal/solvecache"
 	isparsify "prefcover/internal/sparsify"
 	istore "prefcover/internal/store"
@@ -793,7 +794,7 @@ func BenchmarkSolveResponse(b *testing.B) {
 // PUT and GET and ref solves under several strategies first populate the
 // families a serving node exports.
 func BenchmarkSelfScrape(b *testing.B) {
-	srv, err := iserver.NewWithConfig(iserver.Config{SLO: iserver.SLOConfig{ScrapeInterval: time.Hour}})
+	srv, err := iserver.NewWithConfig(iserver.Config{SLO: slo.Config{ScrapeInterval: time.Hour}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,20 +9,12 @@ package main
 // discipline as a node.
 
 import (
-	"context"
-	"errors"
 	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"prefcover/internal/cluster"
 	"prefcover/internal/slo"
-	"prefcover/internal/version"
 )
 
 // gatewayFlags is the -gateway flag group, registered by run.
@@ -36,22 +28,10 @@ type gatewayFlags struct {
 	maxAttempts    int
 }
 
-// sloFlags is the parsed observability flag group (-slo-spec,
-// -scrape-interval, -alert-webhook, windows), shared by both roles: a
-// node self-scrapes its own registry, the gateway federates its members'.
-type sloFlags struct {
-	spec           slo.Spec
-	scrapeInterval time.Duration
-	fastWindow     time.Duration
-	slowWindow     time.Duration
-	forDuration    time.Duration
-	webhook        string
-}
-
-// runGateway is run()'s -gateway branch: build the gateway, serve it,
-// drain on SIGINT/SIGTERM. It mirrors the node path's lifecycle exactly
-// so scripts that parse "prefcoverd listening" work against both roles.
-func runGateway(addr string, gf gatewayFlags, sf sloFlags, maxBodyMB int64, shutdownGrace time.Duration, logger *slog.Logger) int {
+// runGateway is run()'s -gateway branch: build the gateway and serve it
+// with the node's lifecycle, so scripts that parse "prefcoverd listening"
+// work against both roles.
+func runGateway(addr string, gf gatewayFlags, sloCfg slo.Config, maxBodyMB int64, shutdownGrace time.Duration, logger *slog.Logger) int {
 	nodes := splitNodes(gf.nodes)
 	if len(nodes) == 0 {
 		logger.Error("-gateway requires -nodes host1:port,host2:port,...")
@@ -67,56 +47,14 @@ func runGateway(addr string, gf gatewayFlags, sf sloFlags, maxBodyMB int64, shut
 		RequestTimeout: gf.requestTimeout,
 		MaxAttempts:    gf.maxAttempts,
 		MaxBodyBytes:   maxBodyMB << 20,
-		ScrapeInterval: sf.scrapeInterval,
-		SLO:            sf.spec,
-		SLOFastWindow:  sf.fastWindow,
-		SLOSlowWindow:  sf.slowWindow,
-		SLOForDuration: sf.forDuration,
-		AlertWebhook:   sf.webhook,
+		SLO:            sloCfg,
 	})
 	if err != nil {
 		logger.Error("gateway construction failed", "error", err)
 		return 1
 	}
 	defer gw.Close()
-
-	httpServer := &http.Server{
-		Addr:              addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		logger.Error("listener failed", "error", err)
-		return 1
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpServer.Serve(ln) }()
-	logger.Info("prefcoverd listening", "addr", ln.Addr().String(),
-		"role", "gateway", "nodes", len(nodes), "version", version.Get().String())
-
-	select {
-	case err := <-errc:
-		logger.Error("listener failed", "error", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("prefcoverd shutting down", "drain_grace", shutdownGrace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	if err := httpServer.Shutdown(shutdownCtx); err != nil {
-		logger.Error("shutdown incomplete", "error", err)
-		return 1
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error("serve failed", "error", err)
-		return 1
-	}
-	logger.Info("prefcoverd stopped")
-	return 0
+	return serve(addr, gw.Handler(), shutdownGrace, logger, "role", "gateway", "nodes", len(nodes))
 }
 
 // splitNodes parses the -nodes list: comma-separated, blanks ignored.

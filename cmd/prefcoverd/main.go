@@ -112,17 +112,19 @@ func run() int {
 		logger.Error("bad -slo-spec", "error", err)
 		return 1
 	}
-	sf := sloFlags{
-		spec:           sloSpec,
-		scrapeInterval: *scrapeInterval,
-		fastWindow:     *sloFastWindow,
-		slowWindow:     *sloSlowWindow,
-		forDuration:    *sloFor,
-		webhook:        *alertWebhook,
+	// Both roles take the same monitor settings: a node self-scrapes its
+	// own registry, the gateway federates its members'.
+	sloCfg := slo.Config{
+		Spec:           sloSpec,
+		ScrapeInterval: *scrapeInterval,
+		FastWindow:     *sloFastWindow,
+		SlowWindow:     *sloSlowWindow,
+		ForDuration:    *sloFor,
+		Webhook:        *alertWebhook,
 	}
 
 	if *gateway {
-		return runGateway(*addr, gf, sf, *maxBody, *shutdownGrace, logger)
+		return runGateway(*addr, gf, sloCfg, *maxBody, *shutdownGrace, logger)
 	}
 
 	httpFaults, err := parseFaultFlag("fault-spec", *faultSpec, logger)
@@ -156,14 +158,7 @@ func run() int {
 		Faults:       httpFaults,
 		FaultControl: *faultControl,
 		EnablePprof:  *enablePprof,
-		SLO: server.SLOConfig{
-			Spec:           sf.spec,
-			ScrapeInterval: sf.scrapeInterval,
-			FastWindow:     sf.fastWindow,
-			SlowWindow:     sf.slowWindow,
-			ForDuration:    sf.forDuration,
-			WebhookURL:     sf.webhook,
-		},
+		SLO:          sloCfg,
 		Profilez: profilez.Options{
 			Dir:      *profileDir,
 			Interval: *profileInterval,
@@ -179,26 +174,31 @@ func run() int {
 	if *traceSample > 0 {
 		srv.EnableTracing(*traceSample, *traceCap)
 	}
+	return serve(*addr, srv.Handler(), *shutdownGrace, logger)
+}
+
+// serve is the lifecycle both roles share: listen on addr, serve handler
+// until SIGINT/SIGTERM, then drain in-flight requests for up to grace.
+// The "prefcoverd listening" line carries the resolved address, then
+// attrs, then the version: with -addr 127.0.0.1:0 the kernel picks the
+// port, and scripts (the smoke tests) read it from that line.
+func serve(addr string, handler http.Handler, grace time.Duration, logger *slog.Logger, attrs ...any) int {
 	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Addr:              addr,
+		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// Listen explicitly (rather than ListenAndServe) so the log line
-	// carries the resolved address: with -addr 127.0.0.1:0 the kernel
-	// picks the port, and scripts (the CI statusz smoke test) read it
-	// from the "prefcoverd listening" line.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		logger.Error("listener failed", "error", err)
 		return 1
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.Serve(ln) }()
-	logger.Info("prefcoverd listening", "addr", ln.Addr().String(), "version", version.Get().String())
+	attrs = append(append([]any{"addr", ln.Addr().String()}, attrs...), "version", version.Get().String())
+	logger.Info("prefcoverd listening", attrs...)
 
 	select {
 	case err := <-errc:
@@ -209,15 +209,15 @@ func run() int {
 	case <-ctx.Done():
 	}
 	stop() // restore default signal handling: a second ^C kills immediately
-	logger.Info("prefcoverd shutting down", "drain_grace", *shutdownGrace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
+	logger.Info("prefcoverd shutting down", "drain_grace", grace)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := httpServer.Shutdown(shutdownCtx); err != nil {
 		logger.Error("shutdown incomplete", "error", err)
 		return 1
 	}
-	// The ListenAndServe goroutine returns http.ErrServerClosed after a
-	// clean Shutdown; anything else is a real serve error worth surfacing.
+	// Serve returns http.ErrServerClosed after a clean Shutdown; anything
+	// else is a real serve error worth surfacing.
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("serve failed", "error", err)
 		return 1

@@ -10,6 +10,8 @@
 //     retry attempts, so client and server logs join on a single ID) and
 //     the W3C traceparent when the caller has a trace position.
 //   - NewPolicy builds the retry discipline with the shared jitter shape.
+//   - Ready is the /readyz body a node encodes and the gateway's prober
+//     decodes.
 package apiclient
 
 import (
@@ -43,6 +45,26 @@ type Options struct {
 	// one host's pool size — without it, replicating to N nodes evicts and
 	// redials warm connections on every round. 0 means a single host.
 	Hosts int
+}
+
+// Ready is the body of a node's /readyz: status "ready" with 200, or
+// "unavailable" with 503 once its job queue is full, and the load either
+// way.
+type Ready struct {
+	Status string `json:"status"`
+	Load
+}
+
+// Load is the work a node reports on /readyz, the inputs of a gateway's
+// least-loaded routing: graphs held, queued and running async jobs, and
+// occupied solver slots (0 when unlimited). All are cheap snapshots, so a
+// probe needs no /metrics scrape.
+type Load struct {
+	Graphs     int `json:"graphs"`
+	QueueDepth int `json:"queueDepth"`
+	QueueCap   int `json:"queueCap"`
+	Running    int `json:"running"`
+	InFlight   int `json:"inFlight"`
 }
 
 // New returns the shared tuned client.

@@ -17,7 +17,7 @@ type clusterState struct {
 	Replicas   int                `json:"replicas"`
 	VNodes     int                `json:"vnodes"`
 	RingNodes  []string           `json:"ringNodes"`
-	Nodes      []nodeSnapshot     `json:"nodes"`
+	Nodes      []nodeState        `json:"nodes"`
 	LoadShares map[string]float64 `json:"loadShares"`
 	StickyKeys int                `json:"stickyKeys"`
 	TrackedJbs int                `json:"trackedJobs"`
@@ -32,7 +32,7 @@ func (g *Gateway) currentState() clusterState {
 		Replicas:   g.opts.Replicas,
 		VNodes:     g.ring.VNodes(),
 		RingNodes:  g.ring.Nodes(),
-		Nodes:      g.snapshots(),
+		Nodes:      g.nodeList(),
 		LoadShares: g.ring.LoadShares(0),
 		StickyKeys: sticky,
 		TrackedJbs: jobs,
@@ -72,44 +72,44 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 	}
 	node, err := normalizeNodeURL(r.URL.Query().Get("node"))
 	if err != nil {
-		g.writeGatewayError(w, r, http.StatusBadRequest, err)
+		debugpage.Error(w, http.StatusBadRequest, err)
 		return
 	}
+	// Draining mirrors ring membership (a known node is off the ring only
+	// while drained), so setting it before a ring change that refuses is a
+	// no-op.
 	switch action {
 	case "drain":
-		if g.state(node) == nil {
-			g.writeGatewayError(w, r, http.StatusNotFound,
+		if !g.update(node, func(n *nodeState) { n.Draining = true }) {
+			debugpage.Error(w, http.StatusNotFound,
 				fmt.Errorf("unknown node %s", node))
 			return
 		}
 		if !g.ring.Remove(node) {
-			g.writeGatewayError(w, r, http.StatusConflict,
+			debugpage.Error(w, http.StatusConflict,
 				fmt.Errorf("node %s is already drained", node))
 			return
 		}
-		g.setDraining(node, true)
 		g.dropStickyTo(node)
 	case "undrain":
-		ns := g.state(node)
-		if ns == nil {
-			g.writeGatewayError(w, r, http.StatusNotFound,
+		if !g.update(node, func(n *nodeState) { n.Draining = false }) {
+			debugpage.Error(w, http.StatusNotFound,
 				fmt.Errorf("unknown node %s", node))
 			return
 		}
 		if !g.ring.Add(node) {
-			g.writeGatewayError(w, r, http.StatusConflict,
+			debugpage.Error(w, http.StatusConflict,
 				fmt.Errorf("node %s is not drained", node))
 			return
 		}
-		g.setDraining(node, false)
 	case "join":
 		g.mu.Lock()
 		if g.nodes[node] == nil {
-			g.nodes[node] = &nodeState{healthy: false}
+			g.nodes[node] = &nodeState{URL: node}
 		}
 		g.mu.Unlock()
 		if !g.ring.Add(node) {
-			g.writeGatewayError(w, r, http.StatusConflict,
+			debugpage.Error(w, http.StatusConflict,
 				fmt.Errorf("node %s is already a member", node))
 			return
 		}
@@ -120,7 +120,7 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 		g.mu.Unlock()
 		g.probeNode(node)
 	default:
-		g.writeGatewayError(w, r, http.StatusBadRequest,
+		debugpage.Error(w, http.StatusBadRequest,
 			fmt.Errorf("unknown action %q (want drain|undrain|join|probe)", action))
 		return
 	}
@@ -130,14 +130,6 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 			"ring_nodes", g.ring.Len())
 	}
 	writeJSON(w, g.currentState())
-}
-
-func (g *Gateway) setDraining(node string, draining bool) {
-	if ns := g.state(node); ns != nil {
-		ns.mu.Lock()
-		ns.draining = draining
-		ns.mu.Unlock()
-	}
 }
 
 // dropStickyTo forgets sticky routes pointing at a node leaving the
@@ -162,7 +154,7 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if status, err := trace.Serve(w, r, g.tracer); err != nil {
-		g.writeGatewayError(w, r, status, err)
+		debugpage.Error(w, status, err)
 	}
 }
 
@@ -189,7 +181,6 @@ func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		db = g.monitor.DB()
 		fastWin, slowWin, _ = g.monitor.Windows()
 	}
-	scrapeErrs := g.scrapeErrors()
 
 	p.Section("Nodes")
 	p.Table("node", "state", "ring share", "graphs", "queue", "running", "in-flight", "req/s", "trend", "last probe", "last error")
@@ -225,11 +216,11 @@ func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		lastErr := ns.LastErr
-		if e := scrapeErrs[ns.URL]; e != "" {
+		if ns.scrapeErr != "" {
 			if lastErr != "" {
 				lastErr += "; "
 			}
-			lastErr += "scrape: " + e
+			lastErr += "scrape: " + ns.scrapeErr
 		}
 		p.Row(ns.URL, debugpage.State(class, state), share, ns.Graphs, fmt.Sprintf("%d/%d", ns.QueueDepth, ns.QueueCap),
 			ns.Running, ns.InFlight, rate, spark, seen, lastErr)

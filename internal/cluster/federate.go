@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 
 	"prefcover/internal/apiclient"
 	"prefcover/internal/promtext"
@@ -30,45 +29,6 @@ const (
 	clusterPrefix = "prefcover_cluster_"
 )
 
-// federation is the gateway's scrape state: the latest parsed snapshot
-// per node plus the last scrape error, both keyed by node URL.
-type federation struct {
-	mu    sync.RWMutex
-	nodes map[string]*promtext.Metrics
-	errs  map[string]string
-}
-
-// federationEnabled reports whether any knob asks for the scrape loop.
-func (o Options) federationEnabled() bool {
-	return o.ScrapeInterval > 0 || o.SLO.Enabled()
-}
-
-// newMonitor builds the gateway's cluster-level SLO monitor. Its scrape
-// callback pulls every node, refreshes the federation snapshot, and
-// returns the snapshot the gateway's /metrics renders — so the SLO
-// evaluator and the wire format can never disagree.
-func (g *Gateway) newMonitor() *slo.Monitor {
-	var notifier slo.Notifier
-	if g.opts.AlertWebhook != "" {
-		notifier = &slo.WebhookNotifier{URL: g.opts.AlertWebhook}
-	}
-	return slo.NewMonitor(slo.MonitorOptions{
-		Spec:     g.opts.SLO,
-		Scrape:   g.scrapeFederated,
-		Interval: g.opts.ScrapeInterval,
-		Eval: slo.EvalConfig{
-			FastWindow:     g.opts.SLOFastWindow,
-			SlowWindow:     g.opts.SLOSlowWindow,
-			RequestsMetric: clusterPrefix + "http_requests_total",
-			LatencyMetric:  clusterPrefix + "http_request_duration_seconds",
-		},
-		ForDuration: g.opts.SLOForDuration,
-		Alerts:      g.met.alerts,
-		Logger:      g.logger,
-		Notifier:    notifier,
-	})
-}
-
 // Monitor exposes the cluster SLO monitor; nil when federation is off.
 func (g *Gateway) Monitor() *slo.Monitor { return g.monitor }
 
@@ -80,58 +40,33 @@ func (g *Gateway) ScrapeNodes() {
 	}
 }
 
-// scrapeFederated pulls /metrics from every member node concurrently,
-// folds the results into the federation snapshot, and returns the full
-// federated view (see snapshot). It fails only when every node scrape
-// fails — a partial cluster still yields a usable aggregate.
+// scrapeFederated is the cluster monitor's scrape callback: it pulls
+// /metrics from every member node concurrently, keeps each result (or
+// error) on the node's record, and returns the gateway's full metric
+// surface (see snapshot), so the SLO evaluator and /metrics can never
+// disagree. It fails only when every node scrape fails — a partial
+// cluster still yields a usable aggregate.
 func (g *Gateway) scrapeFederated() (*promtext.Metrics, error) {
-	g.mu.Lock()
-	urls := make([]string, 0, len(g.nodes))
-	for u := range g.nodes {
-		urls = append(urls, u)
-	}
-	g.mu.Unlock()
-	sort.Strings(urls)
-
-	type result struct {
-		url string
-		m   *promtext.Metrics
-		err error
-	}
-	results := make([]result, len(urls))
-	var wg sync.WaitGroup
-	for i, u := range urls {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			m, err := g.scrapeNode(u)
-			results[i] = result{url: u, m: m, err: err}
-		}(i, u)
-	}
-	wg.Wait()
-
-	g.fed.mu.Lock()
-	// Rebuild rather than patch: nodes that left the membership drop out
-	// of the federated surface on the next round.
-	g.fed.nodes = make(map[string]*promtext.Metrics, len(results))
-	g.fed.errs = make(map[string]string)
-	okCount := 0
-	var lastErr error
-	for _, res := range results {
-		if res.err != nil {
-			g.fed.errs[res.url] = res.err.Error()
-			g.met.scrapes.With(res.url, "error").Inc()
-			lastErr = res.err
-			continue
+	errs := g.eachNode(func(url string) error {
+		m, err := g.scrapeNode(url)
+		outcome, msg := "ok", ""
+		if err != nil {
+			m, outcome, msg = nil, "error", err.Error()
 		}
-		g.fed.nodes[res.url] = res.m
-		g.met.scrapes.With(res.url, "ok").Inc()
-		okCount++
+		g.update(url, func(n *nodeState) { n.scrape, n.scrapeErr = m, msg })
+		g.met.scrapes.With(url, outcome).Inc()
+		return err
+	})
+	failed := 0
+	var lastErr error
+	for _, err := range errs {
+		if err != nil {
+			failed++
+			lastErr = err
+		}
 	}
-	g.fed.mu.Unlock()
-
-	if okCount == 0 && len(urls) > 0 {
-		return nil, fmt.Errorf("cluster: all %d node scrapes failed: %w", len(urls), lastErr)
+	if failed > 0 && failed == len(errs) {
+		return nil, fmt.Errorf("cluster: all %d node scrapes failed: %w", failed, lastErr)
 	}
 	return g.snapshot(), nil
 }
@@ -160,28 +95,17 @@ func (g *Gateway) scrapeNode(url string) (*promtext.Metrics, error) {
 
 // snapshot reads the gateway's complete metric surface: its own registry
 // first, then the per-node re-exports and cluster aggregates derived from
-// the latest federation snapshot (none while federation is off).
+// the nodes' last scrapes (none while federation is off).
 func (g *Gateway) snapshot() *promtext.Metrics {
 	return &promtext.Metrics{Families: append(g.reg.Snapshot().Families, g.federatedFamilies()...)}
 }
 
-// federatedFamilies assembles the node and cluster families from the
-// latest snapshot. Both views come from the same parsed scrapes, which
+// federatedFamilies assembles the node and cluster families from each
+// node's last scrape, read in one copy of the node records. Both views
+// come from the same parsed scrapes, which
 // makes the differential invariant exact: every prefcover_cluster_*
 // sample equals the sum of its prefcover_node_* counterparts.
 func (g *Gateway) federatedFamilies() []promtext.Family {
-	g.fed.mu.RLock()
-	urls := make([]string, 0, len(g.fed.nodes))
-	for u := range g.fed.nodes {
-		urls = append(urls, u)
-	}
-	snaps := make(map[string]*promtext.Metrics, len(g.fed.nodes))
-	for u, m := range g.fed.nodes {
-		snaps[u] = m
-	}
-	g.fed.mu.RUnlock()
-	sort.Strings(urls)
-
 	type agg struct {
 		fam     *promtext.Family
 		byKey   map[string]int // sample name + labels key -> index in fam.Samples
@@ -192,9 +116,12 @@ func (g *Gateway) federatedFamilies() []promtext.Family {
 	clusterFams := make(map[string]*agg)
 	var order []string
 
-	for _, url := range urls {
-		for fi := range snaps[url].Families {
-			f := &snaps[url].Families[fi]
+	for _, n := range g.nodeList() {
+		if n.scrape == nil {
+			continue
+		}
+		for fi := range n.scrape.Families {
+			f := &n.scrape.Families[fi]
 			if !strings.HasPrefix(f.Name, localPrefix) {
 				continue
 			}
@@ -229,7 +156,7 @@ func (g *Gateway) federatedFamilies() []promtext.Family {
 				sampleRest := strings.TrimPrefix(s.Name, localPrefix)
 				nf.Samples = append(nf.Samples, promtext.Sample{
 					Name:   nodePrefix + sampleRest,
-					Labels: s.Labels.With("node", url),
+					Labels: s.Labels.With("node", n.URL),
 					Value:  s.Value,
 				})
 				key := sampleRest + "\x00" + s.Labels.Key()
@@ -273,17 +200,6 @@ func (g *Gateway) federatedFamilies() []promtext.Family {
 		if len(cf.fam.Samples) > 0 {
 			out = append(out, *cf.fam)
 		}
-	}
-	return out
-}
-
-// scrapeErrors returns the last scrape error per node (statusz).
-func (g *Gateway) scrapeErrors() map[string]string {
-	g.fed.mu.RLock()
-	defer g.fed.mu.RUnlock()
-	out := make(map[string]string, len(g.fed.errs))
-	for u, e := range g.fed.errs {
-		out[u] = e
 	}
 	return out
 }

@@ -47,9 +47,9 @@ func bootFederated(t *testing.T, k int, tune func(*Options)) *fedFixture {
 		urls[i] = ts.URL
 	}
 	opts := Options{
-		Nodes:          urls,
-		ProbeInterval:  time.Hour,
-		ScrapeInterval: time.Hour,
+		Nodes:         urls,
+		ProbeInterval: time.Hour,
+		SLO:           slo.Config{ScrapeInterval: time.Hour},
 	}
 	if tune != nil {
 		tune(&opts)
@@ -279,10 +279,10 @@ func TestFederatedMetricsGzip(t *testing.T) {
 // budget and fires, then resolves once the faults are disarmed.
 func TestClusterSLOAlertLifecycle(t *testing.T) {
 	fx := bootFederated(t, 2, func(o *Options) {
-		o.SLO = mustSpec(t, "avail:/v1/solve:99")
-		o.SLOFastWindow = 100 * time.Millisecond
-		o.SLOSlowWindow = 200 * time.Millisecond
-		o.SLOForDuration = time.Nanosecond
+		o.SLO.Spec = mustSpec(t, "avail:/v1/solve:99")
+		o.SLO.FastWindow = 100 * time.Millisecond
+		o.SLO.SlowWindow = 200 * time.Millisecond
+		o.SLO.ForDuration = time.Nanosecond
 	})
 	defer fx.close()
 	if fx.gw.Monitor() == nil {

@@ -67,24 +67,13 @@ type Options struct {
 	// in memory so failover can resend them). 0 = DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
-	// ScrapeInterval turns on metrics federation: every interval the
-	// gateway pulls each node's /metrics, re-exports the families as
-	// prefcover_node_*{node=...} plus prefcover_cluster_* sums on its own
-	// /metrics, and feeds the snapshot ring behind statusz and the SLO
-	// evaluator. 0 disables federation unless SLO asks for it (then the
-	// slo package's default cadence applies).
-	ScrapeInterval time.Duration
-	// SLO lists cluster-level objectives evaluated against the
-	// prefcover_cluster_* aggregates (see internal/slo's grammar).
-	SLO slo.Spec
-	// SLOFastWindow/SLOSlowWindow/SLOForDuration tune the burn-rate
-	// evaluator; zero values use the slo defaults (5m/1h/30s).
-	SLOFastWindow  time.Duration
-	SLOSlowWindow  time.Duration
-	SLOForDuration time.Duration
-	// AlertWebhook, when set, receives firing/resolved transitions as
-	// JSON POSTs with retry.
-	AlertWebhook string
+	// SLO turns on metrics federation and the cluster SLO monitor: every
+	// ScrapeInterval the gateway pulls each node's /metrics, re-exports the
+	// families as prefcover_node_*{node=...} plus prefcover_cluster_* sums
+	// on its own /metrics, and feeds the snapshot ring behind statusz and
+	// the burn-rate evaluator, whose objectives read the prefcover_cluster_*
+	// aggregates. The zero value leaves federation off.
+	SLO slo.Config
 }
 
 func (o Options) withDefaults() Options {
@@ -127,11 +116,9 @@ type Gateway struct {
 	logger *slog.Logger
 	start  time.Time
 
-	// Federation state: the cluster SLO monitor owns the scrape loop and
-	// the tsdb ring; fed holds the latest parsed snapshot per node. Both
-	// are nil/empty when Options left federation off.
+	// monitor owns the federation scrape loop and the tsdb ring; nil when
+	// Options left federation off.
 	monitor *slo.Monitor
-	fed     federation
 
 	mu     sync.Mutex
 	nodes  map[string]*nodeState // every known node, drained included
@@ -187,12 +174,19 @@ func New(opts Options) (*Gateway, error) {
 		// Optimistically healthy until the first probe says otherwise:
 		// a gateway that boots before its nodes should still route (the
 		// forward path degrades unreachable nodes on first failure).
-		g.nodes[url] = &nodeState{healthy: true}
+		g.nodes[url] = &nodeState{URL: url, Healthy: true}
 		g.ring.Add(url)
 	}
 	g.probeAll()
-	if opts.federationEnabled() {
-		g.monitor = g.newMonitor()
+	if opts.SLO.Enabled() {
+		g.monitor = slo.NewMonitor(slo.MonitorOptions{
+			Config:         opts.SLO,
+			Scrape:         g.scrapeFederated,
+			RequestsMetric: clusterPrefix + "http_requests_total",
+			LatencyMetric:  clusterPrefix + "http_request_duration_seconds",
+			Alerts:         g.met.alerts,
+			Logger:         g.logger,
+		})
 		g.monitor.Start()
 	}
 	go g.probeLoop()
@@ -252,11 +246,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/debug/cluster", g.handleCluster)
 	mux.HandleFunc("/debug/statusz", g.handleStatusz)
 	mux.HandleFunc("/debug/traces", g.handleTraces)
-	if g.monitor != nil {
-		mux.Handle("/debug/slo", g.monitor.DebugHandler())
-	} else {
-		mux.Handle("/debug/slo", slo.DisabledHandler())
-	}
+	mux.Handle("/debug/slo", g.monitor.DebugHandler())
 
 	mux.HandleFunc("/v1/graphs", g.handleGraphList)
 	mux.HandleFunc("/v1/graphs/", g.handleGraph)
@@ -288,7 +278,7 @@ func requestIDOf(r *http.Request) string {
 // routable node on the ring.
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 	healthy := 0
-	for _, ns := range g.snapshots() {
+	for _, ns := range g.nodeList() {
 		if ns.Healthy && g.ring.Contains(ns.URL) {
 			healthy++
 		}
@@ -322,8 +312,8 @@ func (g *Gateway) routeOrder(key string, candidates []string) []string {
 	if len(candidates) == 0 {
 		return nil
 	}
-	snaps := make(map[string]nodeSnapshot, len(candidates))
-	for _, ns := range g.snapshots() {
+	snaps := make(map[string]nodeState, len(candidates))
+	for _, ns := range g.nodeList() {
 		snaps[ns.URL] = ns
 	}
 	var stickyNode string
@@ -416,15 +406,4 @@ func (g *Gateway) jobNode(id string) string {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeGatewayError emits the server's JSON error envelope shape from
-// the gateway itself (routing failures, body-too-large, bad methods).
-func (g *Gateway) writeGatewayError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{
-		"error":     err.Error(),
-		"requestId": requestIDOf(r),
-	})
 }

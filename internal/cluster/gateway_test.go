@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -249,7 +250,7 @@ func TestGatewayTracesQuery(t *testing.T) {
 // it, an unusable inbound ID is replaced rather than echoed, and a
 // relayed response carries the ID exactly once.
 func TestGatewayRequestID(t *testing.T) {
-	fx := bootFederated(t, 1, func(o *Options) { o.ScrapeInterval = 0 })
+	fx := bootFederated(t, 1, func(o *Options) { o.SLO.ScrapeInterval = 0 })
 	defer fx.close()
 	do := func(method, path, id string) (*http.Response, string) {
 		t.Helper()
@@ -284,5 +285,53 @@ func TestGatewayRequestID(t *testing.T) {
 	resp, bodyID := do(http.MethodPost, "/v1/solve?variant=i&k=3", "client-id-1")
 	if ids := resp.Header.Values("X-Request-ID"); len(ids) != 1 || ids[0] != "client-id-1" || bodyID != "client-id-1" {
 		t.Errorf("forwarded solve: X-Request-ID %q, body requestId %q; want client-id-1 once", ids, bodyID)
+	}
+	// The SLO page's errors are the same envelope, naming the same ID.
+	resp, bodyID = do(http.MethodPost, "/debug/slo", "client-id-2")
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Content-Type") != "application/json" || bodyID != "client-id-2" {
+		t.Errorf("POST /debug/slo: %d %q, body requestId %q; want 405 application/json naming client-id-2",
+			resp.StatusCode, resp.Header.Get("Content-Type"), bodyID)
+	}
+}
+
+// TestWireFieldNames pins the JSON field names of a node's /readyz and
+// the gateway's /debug/cluster, which scripts and dashboards read.
+func TestWireFieldNames(t *testing.T) {
+	fx := bootCluster(t, 2)
+	defer fx.close()
+	keys := func(m map[string]any) string {
+		var out []string
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	get := func(url string, v any) {
+		t.Helper()
+		_, body := doGW(t, http.DefaultClient, http.MethodGet, url, nil)
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("GET %s: %v (%s)", url, err, body)
+		}
+	}
+	var ready map[string]any
+	get(fx.harness.NodeURLs()[0]+"/readyz", &ready)
+	if got, want := keys(ready), "graphs,inFlight,queueCap,queueDepth,running,status"; got != want {
+		t.Errorf("node /readyz fields %s, want %s", got, want)
+	}
+	var st struct {
+		Nodes []map[string]any `json:"nodes"`
+	}
+	var top map[string]any
+	get(fx.harness.GatewayURL()+"/debug/cluster", &top)
+	get(fx.harness.GatewayURL()+"/debug/cluster", &st)
+	if got, want := keys(top), "loadShares,nodes,replicas,ringNodes,stickyKeys,trackedJobs,vnodes"; got != want {
+		t.Errorf("/debug/cluster fields %s, want %s", got, want)
+	}
+	for _, n := range st.Nodes {
+		delete(n, "lastError") // present only while the node has one
+		if got, want := keys(n), "draining,graphs,healthy,inFlight,lastSeen,queueCap,queueDepth,running,url"; got != want {
+			t.Errorf("/debug/cluster node fields %s, want %s", got, want)
+		}
 	}
 }

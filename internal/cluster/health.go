@@ -11,71 +11,72 @@ import (
 	"time"
 
 	"prefcover/internal/apiclient"
+	"prefcover/internal/promtext"
 )
 
-// nodeState is the gateway's view of one backend, refreshed by the
-// readiness prober and degraded immediately by forward failures (a node
-// that just dropped a connection should not wait a probe interval to
-// stop receiving traffic).
+// nodeState is the gateway's one record of a backend, held in g.nodes:
+// the readiness probe's verdict and the load the node reported on
+// /readyz, degraded at once by a failed forward (a node that just dropped
+// a connection should not wait a probe interval to stop receiving
+// traffic), and the node's last /metrics scrape with its error.
+// Gateway.mu guards it; readers take copies (nodeList). The exported
+// fields are the node's /debug/cluster entry.
 type nodeState struct {
-	mu sync.Mutex
+	URL      string    `json:"url"`
+	Healthy  bool      `json:"healthy"`
+	Draining bool      `json:"draining"`
+	LastErr  string    `json:"lastError,omitempty"`
+	LastSeen time.Time `json:"lastSeen,omitempty"`
+	apiclient.Load
 
-	healthy  bool
-	draining bool
-	lastErr  string
-	lastSeen time.Time
-
-	// Load signals from /readyz, the least-loaded tiebreak inputs.
-	graphs     int
-	queueDepth int
-	queueCap   int
-	running    int
-	inFlight   int
-}
-
-// nodeSnapshot is the lock-free copy handed to routing and debug pages.
-type nodeSnapshot struct {
-	URL        string    `json:"url"`
-	Healthy    bool      `json:"healthy"`
-	Draining   bool      `json:"draining"`
-	LastErr    string    `json:"lastError,omitempty"`
-	LastSeen   time.Time `json:"lastSeen,omitempty"`
-	Graphs     int       `json:"graphs"`
-	QueueDepth int       `json:"queueDepth"`
-	QueueCap   int       `json:"queueCap"`
-	Running    int       `json:"running"`
-	InFlight   int       `json:"inFlight"`
+	scrape    *promtext.Metrics // nil before the first scrape and after a failed one
+	scrapeErr string
 }
 
 // load is the least-loaded routing score: work the node is already
 // committed to. Lower routes sooner.
-func (n nodeSnapshot) load() int { return n.QueueDepth + n.Running + n.InFlight }
+func (n nodeState) load() int { return n.QueueDepth + n.Running + n.InFlight }
 
-func (ns *nodeState) snapshot(url string) nodeSnapshot {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return nodeSnapshot{
-		URL:        url,
-		Healthy:    ns.healthy,
-		Draining:   ns.draining,
-		LastErr:    ns.lastErr,
-		LastSeen:   ns.lastSeen,
-		Graphs:     ns.graphs,
-		QueueDepth: ns.queueDepth,
-		QueueCap:   ns.queueCap,
-		Running:    ns.running,
-		InFlight:   ns.inFlight,
+// nodeList copies every known node's record, sorted by URL.
+func (g *Gateway) nodeList() []nodeState {
+	g.mu.Lock()
+	out := make([]nodeState, 0, len(g.nodes))
+	for _, n := range g.nodes {
+		out = append(out, *n)
 	}
+	g.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
+	return out
 }
 
-// readyBody mirrors the server's /readyz response shape.
-type readyBody struct {
-	Status     string `json:"status"`
-	Graphs     int    `json:"graphs"`
-	QueueDepth int    `json:"queueDepth"`
-	QueueCap   int    `json:"queueCap"`
-	Running    int    `json:"running"`
-	InFlight   int    `json:"inFlight"`
+// update applies fn to url's record under g.mu; false for an unknown node.
+// fn only reads and sets fields.
+func (g *Gateway) update(url string, fn func(*nodeState)) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := g.nodes[url]
+	if n != nil {
+		fn(n)
+	}
+	return n != nil
+}
+
+// eachNode calls fn for every known node (drained ones included) at once,
+// waits for all of them, and returns fn's errors in URL order. The
+// readiness prober and the federation scrape both walk the nodes with it.
+func (g *Gateway) eachNode(fn func(url string) error) []error {
+	nodes := g.nodeList()
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func(i int, url string) {
+			defer wg.Done()
+			errs[i] = fn(url)
+		}(i, n.URL)
+	}
+	wg.Wait()
+	return errs
 }
 
 // probeLoop drives readiness probes for every known node (drained ones
@@ -97,86 +98,55 @@ func (g *Gateway) probeLoop() {
 
 // probeAll probes every known node once, concurrently.
 func (g *Gateway) probeAll() {
-	g.mu.Lock()
-	urls := make([]string, 0, len(g.nodes))
-	for u := range g.nodes {
-		urls = append(urls, u)
-	}
-	g.mu.Unlock()
-	sort.Strings(urls)
-
-	var wg sync.WaitGroup
-	for _, u := range urls {
-		wg.Add(1)
-		go func(u string) {
-			defer wg.Done()
-			g.probeNode(u)
-		}(u)
-	}
-	wg.Wait()
+	g.eachNode(func(url string) error {
+		g.probeNode(url)
+		return nil
+	})
 	g.updateRingGauges()
 }
 
 // probeNode performs one readiness probe and folds the result into the
-// node's state.
+// node's record.
 func (g *Gateway) probeNode(url string) {
-	ns := g.state(url)
-	if ns == nil {
-		return
-	}
 	req, err := http.NewRequest(http.MethodGet, url+"/readyz", nil)
 	if err != nil {
-		g.setProbeResult(url, ns, false, "bad probe url: "+err.Error(), nil)
-		g.met.probes.With(url, "error").Inc()
+		g.setProbeResult(url, "error", "bad probe url: "+err.Error(), nil)
 		return
 	}
 	req, cancel := apiclient.WithTimeout(req, g.opts.ProbeTimeout)
 	defer cancel()
 	resp, err := g.client.Do(req)
 	if err != nil {
-		g.setProbeResult(url, ns, false, err.Error(), nil)
-		g.met.probes.With(url, "error").Inc()
+		g.setProbeResult(url, "error", err.Error(), nil)
 		return
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	resp.Body.Close()
-	var rb readyBody
 	// The body decodes on both 200 and 503 (saturated nodes still report
 	// their load); a decode failure leaves the previous load numbers.
-	decoded := json.Unmarshal(body, &rb) == nil
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		if decoded {
-			g.setProbeResult(url, ns, true, "", &rb)
-		} else {
-			g.setProbeResult(url, ns, true, "", nil)
-		}
-		g.met.probes.With(url, "ready").Inc()
-	default:
-		msg := "readiness probe: " + resp.Status
-		if decoded {
-			g.setProbeResult(url, ns, false, msg, &rb)
-		} else {
-			g.setProbeResult(url, ns, false, msg, nil)
-		}
-		g.met.probes.With(url, "unready").Inc()
+	rb := new(apiclient.Ready)
+	if json.Unmarshal(body, rb) != nil {
+		rb = nil
+	}
+	if resp.StatusCode == http.StatusOK {
+		g.setProbeResult(url, "ready", "", rb)
+	} else {
+		g.setProbeResult(url, "unready", "readiness probe: "+resp.Status, rb)
 	}
 }
 
-func (g *Gateway) setProbeResult(url string, ns *nodeState, healthy bool, errMsg string, rb *readyBody) {
-	ns.mu.Lock()
-	wasHealthy := ns.healthy
-	ns.healthy = healthy
-	ns.lastErr = errMsg
-	ns.lastSeen = time.Now()
-	if rb != nil {
-		ns.graphs = rb.Graphs
-		ns.queueDepth = rb.QueueDepth
-		ns.queueCap = rb.QueueCap
-		ns.running = rb.Running
-		ns.inFlight = rb.InFlight
-	}
-	ns.mu.Unlock()
+// setProbeResult records one probe outcome (ready, unready or error):
+// only a ready node is healthy.
+func (g *Gateway) setProbeResult(url, outcome, errMsg string, rb *apiclient.Ready) {
+	healthy, wasHealthy := outcome == "ready", false
+	g.update(url, func(n *nodeState) {
+		wasHealthy = n.Healthy
+		n.Healthy, n.LastErr, n.LastSeen = healthy, errMsg, time.Now()
+		if rb != nil {
+			n.Load = rb.Load
+		}
+	})
+	g.met.probes.With(url, outcome).Inc()
 	if healthy {
 		g.met.nodeHealthy.With(url).Set(1)
 	} else {
@@ -202,40 +172,9 @@ func (g *Gateway) setProbeResult(url string, ns *nodeState, healthy bool, errMsg
 // it. kind is "transport" or "status".
 func (g *Gateway) markFailure(url, kind string, err error) {
 	g.met.nodeFailures.With(url, kind).Inc()
-	ns := g.state(url)
-	if ns == nil {
-		return
+	if g.update(url, func(n *nodeState) { n.Healthy, n.LastErr = false, err.Error() }) {
+		g.met.nodeHealthy.With(url).Set(0)
 	}
-	ns.mu.Lock()
-	ns.healthy = false
-	if err != nil {
-		ns.lastErr = err.Error()
-	}
-	ns.mu.Unlock()
-	g.met.nodeHealthy.With(url).Set(0)
-}
-
-// state returns the tracked state for url, or nil for unknown nodes.
-func (g *Gateway) state(url string) *nodeState {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.nodes[url]
-}
-
-// snapshots returns the state of every known node, sorted by URL.
-func (g *Gateway) snapshots() []nodeSnapshot {
-	g.mu.Lock()
-	states := make(map[string]*nodeState, len(g.nodes))
-	for u, ns := range g.nodes {
-		states[u] = ns
-	}
-	g.mu.Unlock()
-	out := make([]nodeSnapshot, 0, len(states))
-	for u, ns := range states {
-		out = append(out, ns.snapshot(u))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
 }
 
 func (g *Gateway) updateRingGauges() {

@@ -10,7 +10,9 @@ import (
 // injected fault counts (nodeFailures == failovers + giveUps when every
 // failure is transient).
 type gwMetrics struct {
-	// Per-node RED for forwarded requests.
+	// Per-node RED for forwarded requests: both count the attempts a node
+	// answered in full, so a RED row's quantiles and request count cover
+	// the same attempts (failed ones are in nodeFailures).
 	requests *metrics.CounterVec   // prefcover_gateway_requests_total{node,endpoint,code}
 	latency  *metrics.HistogramVec // prefcover_gateway_request_seconds{node,endpoint}
 
@@ -69,7 +71,7 @@ func newGwMetrics(r *metrics.Registry) *gwMetrics {
 			"Readiness probes by node and outcome (ready/unready/error).",
 			"node", "outcome"),
 		routed: r.NewCounter("prefcover_gateway_routed_total",
-			"Solve routing decisions by strategy (sticky/primary/least_loaded).",
+			"Solve routing decisions by strategy (sticky/least_loaded).",
 			"strategy"),
 		scrapes: r.NewCounter("prefcover_gateway_scrapes_total",
 			"Node /metrics federation scrapes by node and outcome (ok/error).",

@@ -7,19 +7,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"prefcover/internal/apiclient"
+	"prefcover/internal/debugpage"
 	"prefcover/internal/jobs"
 	"prefcover/internal/retry"
 	"prefcover/internal/trace"
 )
 
-// hopHeaders are stripped when relaying a node response: they describe
-// the gateway->node hop, not the client->gateway one.
-var hopHeaders = []string{"Connection", "Keep-Alive", "Transfer-Encoding", "Upgrade"}
+// hopHeaders are stripped in both directions: they describe one hop
+// (client->gateway or gateway->node), not the call.
+var hopHeaders = map[string]bool{"Connection": true, "Keep-Alive": true, "Transfer-Encoding": true, "Upgrade": true}
 
 // nodeResponse is one fully-buffered backend reply. Responses are read
 // to completion before anything is written to the client so a failed
@@ -31,8 +33,9 @@ type nodeResponse struct {
 	body   []byte
 }
 
-// forward sends one logical call to the first candidate that answers,
-// failing over through the rest via internal/retry. Contract:
+// forward sends r (method, path and query; body resent verbatim on every
+// attempt) to the first candidate that answers, failing over through the
+// rest via internal/retry. Contract:
 //
 //   - One X-Request-ID per inbound request (the one Handler resolved),
 //     constant across attempts and calls.
@@ -43,13 +46,12 @@ type nodeResponse struct {
 //   - Transport errors and transient statuses (5xx, 429) mark the node
 //     failed and advance to the next candidate; any other status is the
 //     node's authoritative answer and is relayed as-is.
-//   - body is resent verbatim on every attempt (callers buffer it).
 //
 // The successful (or final non-transient) response is returned buffered;
 // a nil response means every candidate was exhausted.
-func (g *Gateway) forward(r *http.Request, endpoint, method, path, rawQuery string, body []byte, candidates []string) (*nodeResponse, error) {
+func (g *Gateway) forward(r *http.Request, endpoint string, body []byte, candidates []string) (*nodeResponse, error) {
 	if len(candidates) == 0 {
-		return nil, fmt.Errorf("no nodes available for %s", path)
+		return nil, fmt.Errorf("no nodes available for %s", r.URL.Path)
 	}
 	requestID := requestIDOf(r)
 	inboundTP := r.Header.Get(trace.TraceparentHeader)
@@ -57,7 +59,7 @@ func (g *Gateway) forward(r *http.Request, endpoint, method, path, rawQuery stri
 	if sc, err := trace.ParseTraceparent(inboundTP); err == nil && sc.Sampled {
 		root = g.tracer.RootContext("gateway "+endpoint, sc)
 		root.SetAttr("requestID", requestID)
-		root.SetAttr("method", method)
+		root.SetAttr("method", r.Method)
 		defer root.End()
 	}
 	if inboundTP == "" {
@@ -89,7 +91,7 @@ func (g *Gateway) forward(r *http.Request, endpoint, method, path, rawQuery stri
 		if sc := span.Context(); sc.Valid() {
 			tp = sc.Traceparent()
 		}
-		resp, err := g.sendOnce(ctx, node, endpoint, method, path, rawQuery, body, r.Header, requestID, tp)
+		resp, err := g.sendOnce(ctx, r, node, endpoint, body, requestID, tp)
 		if err != nil {
 			span.SetAttr("error", err.Error())
 			g.markFailure(node, "transport", err)
@@ -97,7 +99,7 @@ func (g *Gateway) forward(r *http.Request, endpoint, method, path, rawQuery stri
 		}
 		span.SetAttr("status", resp.status)
 		if retry.StatusTransient(resp.status) {
-			statusErr := fmt.Errorf("node %s: %s %s: HTTP %d", node, method, path, resp.status)
+			statusErr := fmt.Errorf("node %s: %s %s: HTTP %d", node, r.Method, r.URL.Path, resp.status)
 			g.markFailure(node, "status", statusErr)
 			return retry.HTTPStatusError(resp.status, resp.header, statusErr)
 		}
@@ -111,20 +113,23 @@ func (g *Gateway) forward(r *http.Request, endpoint, method, path, rawQuery stri
 }
 
 // sendOnce performs a single gateway->node request and buffers the reply.
-func (g *Gateway) sendOnce(ctx context.Context, node, endpoint, method, path, rawQuery string, body []byte, inbound http.Header, requestID, traceparent string) (*nodeResponse, error) {
-	url := node + path
-	if rawQuery != "" {
-		url += "?" + rawQuery
+// Only an attempt that got a full answer counts as forwarded traffic, in
+// the request counter and the latency histogram alike; forward counts the
+// failed ones in prefcover_gateway_node_failures_total.
+func (g *Gateway) sendOnce(ctx context.Context, r *http.Request, node, endpoint string, body []byte, requestID, traceparent string) (*nodeResponse, error) {
+	url := node + r.URL.Path
+	if r.URL.RawQuery != "" {
+		url += "?" + r.URL.RawQuery
 	}
 	var rdr io.Reader
 	if body != nil {
 		rdr = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rdr)
+	req, err := http.NewRequestWithContext(ctx, r.Method, url, rdr)
 	if err != nil {
 		return nil, err
 	}
-	copyForwardHeaders(req.Header, inbound)
+	copyForwardHeaders(req.Header, r.Header)
 	apiclient.Decorate(req, requestID, traceparent)
 	req, cancel := apiclient.WithTimeout(req, g.opts.RequestTimeout)
 	defer cancel()
@@ -132,18 +137,17 @@ func (g *Gateway) sendOnce(ctx context.Context, node, endpoint, method, path, ra
 	start := time.Now()
 	resp, err := g.client.Do(req)
 	if err != nil {
-		g.met.latency.With(node, endpoint).Observe(time.Since(start).Seconds())
 		return nil, err
 	}
 	buf, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	g.met.latency.With(node, endpoint).Observe(time.Since(start).Seconds())
 	if err != nil {
 		// A truncated body (partial fault, dropped connection mid-read) is
 		// a transport failure even though a status line arrived.
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
 	g.met.requests.With(node, endpoint, strconv.Itoa(resp.StatusCode)).Inc()
+	g.met.latency.With(node, endpoint).Observe(time.Since(start).Seconds())
 	return &nodeResponse{node: node, status: resp.StatusCode, header: resp.Header, body: buf}, nil
 }
 
@@ -152,18 +156,8 @@ func (g *Gateway) sendOnce(ctx context.Context, node, endpoint, method, path, ra
 // are stamped separately by Decorate.
 func copyForwardHeaders(dst, src http.Header) {
 	for k, vv := range src {
-		switch http.CanonicalHeaderKey(k) {
-		case "X-Request-Id", trace.TraceparentHeader, "Traceparent", "Host":
-			continue
-		}
-		hop := false
-		for _, h := range hopHeaders {
-			if http.CanonicalHeaderKey(k) == h {
-				hop = true
-				break
-			}
-		}
-		if hop {
+		switch ck := http.CanonicalHeaderKey(k); {
+		case hopHeaders[ck], ck == "X-Request-Id", ck == "Traceparent", ck == "Host":
 			continue
 		}
 		for _, v := range vv {
@@ -177,15 +171,7 @@ func copyForwardHeaders(dst, src http.Header) {
 func (g *Gateway) relay(w http.ResponseWriter, resp *nodeResponse) {
 	h := w.Header()
 	for k, vv := range resp.header {
-		canonical := http.CanonicalHeaderKey(k)
-		hop := false
-		for _, hh := range hopHeaders {
-			if canonical == hh {
-				hop = true
-				break
-			}
-		}
-		if hop || canonical == "Content-Length" || canonical == "X-Request-Id" {
+		if ck := http.CanonicalHeaderKey(k); hopHeaders[ck] || ck == "Content-Length" || ck == "X-Request-Id" {
 			continue
 		}
 		for _, v := range vv {
@@ -204,104 +190,106 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, g.opts.MaxBodyBytes+1))
 	if err != nil {
-		g.writeGatewayError(w, r, http.StatusBadRequest,
+		debugpage.Error(w, http.StatusBadRequest,
 			fmt.Errorf("reading request body: %w", err))
 		return nil, false
 	}
 	if int64(len(body)) > g.opts.MaxBodyBytes {
-		g.writeGatewayError(w, r, http.StatusRequestEntityTooLarge,
+		debugpage.Error(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds %d bytes", g.opts.MaxBodyBytes))
 		return nil, false
 	}
 	return body, true
 }
 
-// forwardAndRelay is the common "route with failover, relay the answer"
-// path; key selects sticky bookkeeping (remembered on success).
-func (g *Gateway) forwardAndRelay(w http.ResponseWriter, r *http.Request, endpoint, key string, body []byte, candidates []string) {
-	resp, err := g.forward(r, endpoint, r.Method, r.URL.Path, r.URL.RawQuery, body, candidates)
+// forwardAndRelay is the one path of a forwarded call: forward r to the
+// candidates in order, relay the answer, or answer 502 once every
+// candidate has failed. A non-empty key names the graph or job the call is
+// about and turns on the 404 walk: a node answering 404 does not hold the
+// key (placement moves at once after a membership change but bytes only on
+// the next PUT, and a gateway that never saw a job does not know its
+// node), so the walk drops that node and asks the rest before 404 is the
+// cluster's answer. keep, when non-nil, sees the answer before it is
+// relayed, to remember which node holds key.
+func (g *Gateway) forwardAndRelay(w http.ResponseWriter, r *http.Request, endpoint, key string, body []byte, candidates []string, keep func(*nodeResponse)) {
+	var resp, notFound *nodeResponse
+	var err error
+	for remaining := candidates; ; {
+		resp, err = g.forward(r, endpoint, body, remaining)
+		if err != nil || key == "" || resp.status != http.StatusNotFound {
+			break
+		}
+		notFound = resp
+		remaining = slices.DeleteFunc(slices.Clone(remaining), func(n string) bool { return n == resp.node })
+		if len(remaining) == 0 {
+			break
+		}
+	}
+	if err != nil && notFound != nil {
+		resp, err = notFound, nil
+	}
 	if err != nil {
-		g.writeGatewayError(w, r, http.StatusBadGateway,
-			fmt.Errorf("all replicas failed: %w", err))
+		debugpage.Error(w, http.StatusBadGateway, fmt.Errorf("all replicas failed: %w", err))
 		return
 	}
-	if key != "" && resp.status < 500 {
-		g.rememberSticky(key, resp.node)
+	if keep != nil {
+		keep(resp)
 	}
 	g.relay(w, resp)
 }
 
-// forwardGraphKeyed routes a graph-keyed call (reference solve, graph
-// download, job submission) with an extra layer above transient
-// failover: a replica answering 404 means "this node does not hold the
-// graph" — which happens transiently after membership changes, because
-// placement recomputes instantly but bytes only move on the next PUT —
-// so the walk drops that node and asks the remaining candidates before
-// accepting "not found" as the cluster's answer.
-func (g *Gateway) forwardGraphKeyed(w http.ResponseWriter, r *http.Request, endpoint, key string, body []byte, candidates []string) {
-	resp, err := g.forwardWalk(r, endpoint, r.Method, r.URL.Path, r.URL.RawQuery, body, candidates)
-	if err != nil {
-		g.writeGatewayError(w, r, http.StatusBadGateway,
-			fmt.Errorf("all replicas failed: %w", err))
-		return
+// stick is the keep of a call about graph name: the node that answered
+// below 500 becomes the graph's sticky route.
+func (g *Gateway) stick(name string) func(*nodeResponse) {
+	return func(resp *nodeResponse) {
+		if resp.status < 500 {
+			g.rememberSticky(name, resp.node)
+		}
 	}
-	if key != "" && resp.status < 500 {
-		g.rememberSticky(key, resp.node)
-	}
-	g.relay(w, resp)
 }
 
-// forwardWalk implements the 404 walk: forward with transient failover,
-// and when the answering node says 404, drop it from the candidate set
-// and ask the rest. Returns the first non-404 answer, the last 404 once
-// every candidate has disclaimed the graph, or an error if every
-// candidate died in transport without any 404 to fall back on.
-func (g *Gateway) forwardWalk(r *http.Request, endpoint, method, path, rawQuery string, body []byte, candidates []string) (*nodeResponse, error) {
-	remaining := candidates
-	var notFound *nodeResponse
-	for len(remaining) > 0 {
-		resp, err := g.forward(r, endpoint, method, path, rawQuery, body, remaining)
-		if err != nil {
-			if notFound != nil {
-				return notFound, nil
-			}
-			return nil, err
-		}
-		if resp.status == http.StatusNotFound {
-			notFound = resp
-			next := remaining[:0:0]
-			for _, c := range remaining {
-				if c != resp.node {
-					next = append(next, c)
-				}
-			}
-			remaining = next
-			continue
-		}
-		return resp, nil
-	}
-	if notFound != nil {
-		return notFound, nil
-	}
-	return nil, fmt.Errorf("no nodes available for %s", path)
-}
-
-// graphCandidates is the failover order for graph-keyed work: the
-// graph's replica set first (sticky node leading), then every other
-// ring member — the 404 walk's last resort for graphs stranded by
-// membership changes.
-func (g *Gateway) graphCandidates(key string) []string {
-	out := g.routeOrder(key, g.replicasFor(key))
-	seen := make(map[string]bool, len(out))
-	for _, n := range out {
-		seen[n] = true
-	}
+// thenEveryNode appends every routable node missing from first, in
+// routing order: the 404 walk's last resort.
+func (g *Gateway) thenEveryNode(first []string) []string {
+	out := first
 	for _, n := range g.healthyNodes() {
-		if !seen[n] {
+		if !slices.Contains(first, n) {
 			out = append(out, n)
 		}
 	}
 	return out
+}
+
+// graphCandidates is the failover order for graph-keyed work: the
+// graph's replica set first (sticky node leading), then every other
+// ring member — for graphs stranded by membership changes.
+func (g *Gateway) graphCandidates(key string) []string {
+	return g.thenEveryNode(g.routeOrder(key, g.replicasFor(key)))
+}
+
+// gather is the fan-out both cluster listings share: it asks every
+// routable node once (the forward policy may retry that node) for the
+// listing at r's path and returns the bodies of the 200 answers. When some
+// node failed and none answered 200 it answers 502 itself and returns
+// false.
+func (g *Gateway) gather(w http.ResponseWriter, r *http.Request) ([][]byte, bool) {
+	var bodies [][]byte
+	var firstErr error
+	for _, node := range g.healthyNodes() {
+		resp, err := g.forward(r, r.URL.Path, nil, []string{node})
+		switch {
+		case err != nil && firstErr == nil:
+			firstErr = err
+		case err == nil && resp.status == http.StatusOK:
+			bodies = append(bodies, resp.body)
+		}
+	}
+	if len(bodies) == 0 && firstErr != nil {
+		debugpage.Error(w, http.StatusBadGateway,
+			fmt.Errorf("listing %s: %w", strings.TrimPrefix(r.URL.Path, "/v1/"), firstErr))
+		return nil, false
+	}
+	return bodies, true
 }
 
 // --- /v1/graphs (collection) ---
@@ -311,29 +299,21 @@ func (g *Gateway) handleGraphList(w http.ResponseWriter, r *http.Request) {
 		g.methodNotAllowed(w, r, http.MethodGet)
 		return
 	}
+	bodies, ok := g.gather(w, r)
+	if !ok {
+		return
+	}
 	// Every node holds a shard; the cluster listing is the union, deduped
 	// by name (replicas report the same graph R times).
 	type listBody struct {
 		Graphs     []json.RawMessage `json:"graphs"`
 		TotalBytes int64             `json:"totalBytes"`
 	}
+	merged := listBody{Graphs: []json.RawMessage{}}
 	seen := make(map[string]bool)
-	var merged listBody
-	merged.Graphs = []json.RawMessage{}
-	var firstErr error
-	for _, node := range g.healthyNodes() {
-		resp, err := g.forward(r, "/v1/graphs", http.MethodGet, "/v1/graphs", r.URL.RawQuery, nil, []string{node})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if resp.status != http.StatusOK {
-			continue
-		}
+	for _, body := range bodies {
 		var lb listBody
-		if err := json.Unmarshal(resp.body, &lb); err != nil {
+		if json.Unmarshal(body, &lb) != nil {
 			continue
 		}
 		for _, raw := range lb.Graphs {
@@ -349,11 +329,6 @@ func (g *Gateway) handleGraphList(w http.ResponseWriter, r *http.Request) {
 			merged.TotalBytes += meta.Bytes
 		}
 	}
-	if len(seen) == 0 && firstErr != nil {
-		g.writeGatewayError(w, r, http.StatusBadGateway,
-			fmt.Errorf("listing graphs: %w", firstErr))
-		return
-	}
 	writeJSON(w, merged)
 }
 
@@ -362,7 +337,7 @@ func (g *Gateway) handleGraphList(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleGraph(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/v1/graphs/")
 	if name == "" || strings.Contains(name, "/") {
-		g.writeGatewayError(w, r, http.StatusNotFound,
+		debugpage.Error(w, http.StatusNotFound,
 			fmt.Errorf("no such graph route"))
 		return
 	}
@@ -370,7 +345,7 @@ func (g *Gateway) handleGraph(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut:
 		g.replicateGraph(w, r, name)
 	case http.MethodGet, http.MethodHead:
-		g.forwardGraphKeyed(w, r, "/v1/graphs/{name}", name, nil, g.graphCandidates(name))
+		g.forwardAndRelay(w, r, "/v1/graphs/{name}", name, nil, g.graphCandidates(name), g.stick(name))
 	case http.MethodDelete:
 		g.deleteGraph(w, r, name)
 	default:
@@ -389,13 +364,13 @@ func (g *Gateway) replicateGraph(w http.ResponseWriter, r *http.Request, name st
 	}
 	replicas := g.replicasFor(name)
 	if len(replicas) == 0 {
-		g.writeGatewayError(w, r, http.StatusServiceUnavailable,
+		debugpage.Error(w, http.StatusServiceUnavailable,
 			fmt.Errorf("ring is empty (all nodes drained?)"))
 		return
 	}
-	primaryResp, err := g.forward(r, "/v1/graphs/{name}", http.MethodPut, r.URL.Path, r.URL.RawQuery, body, replicas[:1])
+	primaryResp, err := g.forward(r, "/v1/graphs/{name}", body, replicas[:1])
 	if err != nil {
-		g.writeGatewayError(w, r, http.StatusBadGateway,
+		debugpage.Error(w, http.StatusBadGateway,
 			fmt.Errorf("primary write failed: %w", err))
 		return
 	}
@@ -407,7 +382,7 @@ func (g *Gateway) replicateGraph(w http.ResponseWriter, r *http.Request, name st
 	}
 	etag := primaryResp.header.Get("ETag")
 	for _, secondary := range replicas[1:] {
-		g.replicateOne(r, secondary, r.URL.Path, r.URL.RawQuery, body, etag)
+		g.replicateOne(r, secondary, body, etag)
 	}
 	g.rememberSticky(name, primaryResp.node)
 	w.Header().Set("X-Prefcover-Replicas", strconv.Itoa(len(replicas)))
@@ -418,28 +393,30 @@ func (g *Gateway) replicateGraph(w http.ResponseWriter, r *http.Request, name st
 // conditional HEAD proves the replica already holds these exact bytes
 // (304 against the primary's ETag — the content hash, so "same ETag"
 // means "same canonical graph encoding").
-func (g *Gateway) replicateOne(r *http.Request, node, path, rawQuery string, body []byte, etag string) {
+func (g *Gateway) replicateOne(r *http.Request, node string, body []byte, etag string) {
 	if etag != "" {
 		probe := r.Clone(r.Context())
+		probe.Method = http.MethodHead
+		probe.URL.RawQuery = ""
 		probe.Header = http.Header{"If-None-Match": {etag}}
 		if tp := r.Header.Get(trace.TraceparentHeader); tp != "" {
 			probe.Header.Set(trace.TraceparentHeader, tp)
 		}
-		head, err := g.forward(probe, "/v1/graphs/{name}", http.MethodHead, path, "", nil, []string{node})
+		head, err := g.forward(probe, "/v1/graphs/{name}", nil, []string{node})
 		if err == nil && head.status == http.StatusNotModified {
 			g.met.replication.With("reconciled").Inc()
 			return
 		}
 	}
-	resp, err := g.forward(r, "/v1/graphs/{name}", http.MethodPut, path, rawQuery, body, []string{node})
+	resp, err := g.forward(r, "/v1/graphs/{name}", body, []string{node})
 	if err != nil || resp.status >= 300 {
 		g.met.replication.With("failed").Inc()
 		if g.logger != nil {
 			msg := "replication write failed"
 			if err != nil {
-				g.logger.Warn(msg, "node", node, "graph", path, "error", err.Error())
+				g.logger.Warn(msg, "node", node, "graph", r.URL.Path, "error", err.Error())
 			} else {
-				g.logger.Warn(msg, "node", node, "graph", path, "status", resp.status)
+				g.logger.Warn(msg, "node", node, "graph", r.URL.Path, "status", resp.status)
 			}
 		}
 		return
@@ -447,13 +424,13 @@ func (g *Gateway) replicateOne(r *http.Request, node, path, rawQuery string, bod
 	g.met.replication.With("stored").Inc()
 }
 
-// deleteGraph fans the delete out to every replica; 200 if any replica
-// held it.
+// deleteGraph fans the delete out to every replica and relays the best
+// (lowest) status, so any replica that held the graph makes it a success.
 func (g *Gateway) deleteGraph(w http.ResponseWriter, r *http.Request, name string) {
 	replicas := g.replicasFor(name)
 	var best *nodeResponse
 	for _, node := range replicas {
-		resp, err := g.forward(r, "/v1/graphs/{name}", http.MethodDelete, r.URL.Path, r.URL.RawQuery, nil, []string{node})
+		resp, err := g.forward(r, "/v1/graphs/{name}", nil, []string{node})
 		if err != nil {
 			continue
 		}
@@ -463,7 +440,7 @@ func (g *Gateway) deleteGraph(w http.ResponseWriter, r *http.Request, name strin
 	}
 	g.forgetSticky(name)
 	if best == nil {
-		g.writeGatewayError(w, r, http.StatusBadGateway,
+		debugpage.Error(w, http.StatusBadGateway,
 			fmt.Errorf("all replicas failed to delete %s", name))
 		return
 	}
@@ -493,11 +470,11 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	_ = json.Unmarshal(body, &ref)
 	if ref.GraphRef != "" {
 		g.met.routed.With("sticky").Inc()
-		g.forwardGraphKeyed(w, r, "/v1/solve", ref.GraphRef, body, g.graphCandidates(ref.GraphRef))
+		g.forwardAndRelay(w, r, "/v1/solve", ref.GraphRef, body, g.graphCandidates(ref.GraphRef), g.stick(ref.GraphRef))
 		return
 	}
 	g.met.routed.With("least_loaded").Inc()
-	g.forwardAndRelay(w, r, "/v1/solve", "", body, g.healthyNodes())
+	g.forwardAndRelay(w, r, "/v1/solve", "", body, g.healthyNodes(), nil)
 }
 
 // handleCompute serves the stateless compute endpoints (adapt, pipeline,
@@ -513,7 +490,7 @@ func (g *Gateway) handleCompute(endpoint string) http.HandlerFunc {
 			return
 		}
 		g.met.routed.With("least_loaded").Inc()
-		g.forwardAndRelay(w, r, endpoint, "", body, g.healthyNodes())
+		g.forwardAndRelay(w, r, endpoint, "", body, g.healthyNodes(), nil)
 	}
 }
 
@@ -541,102 +518,65 @@ func (g *Gateway) submitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := jobs.ParseRequest(body)
 	if err != nil {
-		g.writeGatewayError(w, r, http.StatusBadRequest, err)
+		debugpage.Error(w, http.StatusBadRequest, err)
 		return
 	}
-	candidates := g.graphCandidates(req.GraphRef)
-	resp, ferr := g.forwardWalk(r, "/v1/jobs", http.MethodPost, r.URL.Path, r.URL.RawQuery, body, candidates)
-	if ferr != nil {
-		g.writeGatewayError(w, r, http.StatusBadGateway,
-			fmt.Errorf("all replicas failed: %w", ferr))
-		return
-	}
-	if resp.status == http.StatusAccepted {
-		var payload struct {
+	g.forwardAndRelay(w, r, "/v1/jobs", req.GraphRef, body, g.graphCandidates(req.GraphRef), func(resp *nodeResponse) {
+		if resp.status != http.StatusAccepted {
+			return
+		}
+		var job struct {
 			ID string `json:"id"`
 		}
-		if json.Unmarshal(resp.body, &payload) == nil {
-			g.rememberJob(payload.ID, resp.node)
+		if json.Unmarshal(resp.body, &job) == nil {
+			g.rememberJob(job.ID, resp.node)
 		}
 		g.rememberSticky(req.GraphRef, resp.node)
-	}
-	g.relay(w, resp)
+	})
 }
 
 // listJobs merges the queue listing across every healthy node.
 func (g *Gateway) listJobs(w http.ResponseWriter, r *http.Request) {
+	bodies, ok := g.gather(w, r)
+	if !ok {
+		return
+	}
 	merged := []json.RawMessage{}
-	var firstErr error
-	got := false
-	for _, node := range g.healthyNodes() {
-		resp, err := g.forward(r, "/v1/jobs", http.MethodGet, "/v1/jobs", r.URL.RawQuery, nil, []string{node})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if resp.status != http.StatusOK {
-			continue
-		}
+	for _, body := range bodies {
 		var lb struct {
 			Jobs []json.RawMessage `json:"jobs"`
 		}
-		if json.Unmarshal(resp.body, &lb) == nil {
+		if json.Unmarshal(body, &lb) == nil {
 			merged = append(merged, lb.Jobs...)
-			got = true
 		}
-	}
-	if !got && firstErr != nil {
-		g.writeGatewayError(w, r, http.StatusBadGateway,
-			fmt.Errorf("listing jobs: %w", firstErr))
-		return
 	}
 	writeJSON(w, map[string]any{"jobs": merged})
 }
 
-// handleJob routes job status/cancel to the node that accepted the job;
-// unknown IDs (gateway restarted, map evicted) fall back to asking every
-// node until one recognizes it.
+// handleJob routes job status and cancel through the 404 walk, the node
+// that accepted the job first: a gateway that restarted, or evicted the
+// job from its map, still finds the job on whichever node has it.
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		g.writeGatewayError(w, r, http.StatusNotFound,
+		debugpage.Error(w, http.StatusNotFound,
 			fmt.Errorf("no such job route"))
 		return
 	}
+	var first []string
 	if owner := g.jobNode(id); owner != "" {
-		resp, err := g.forward(r, "/v1/jobs/{id}", r.Method, r.URL.Path, r.URL.RawQuery, nil, []string{owner})
-		if err == nil && resp.status != http.StatusNotFound {
-			g.relay(w, resp)
-			return
-		}
+		first = []string{owner}
 	}
-	var notFound *nodeResponse
-	for _, node := range g.healthyNodes() {
-		resp, err := g.forward(r, "/v1/jobs/{id}", r.Method, r.URL.Path, r.URL.RawQuery, nil, []string{node})
-		if err != nil {
-			continue
+	g.forwardAndRelay(w, r, "/v1/jobs/{id}", id, nil, g.thenEveryNode(first), func(resp *nodeResponse) {
+		if resp.status != http.StatusNotFound {
+			g.rememberJob(id, resp.node)
 		}
-		if resp.status == http.StatusNotFound {
-			notFound = resp
-			continue
-		}
-		g.rememberJob(id, node)
-		g.relay(w, resp)
-		return
-	}
-	if notFound != nil {
-		g.relay(w, notFound)
-		return
-	}
-	g.writeGatewayError(w, r, http.StatusBadGateway,
-		fmt.Errorf("no node could answer for job %s", id))
+	})
 }
 
 func (g *Gateway) methodNotAllowed(w http.ResponseWriter, r *http.Request, allowed ...string) {
 	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	g.writeGatewayError(w, r, http.StatusMethodNotAllowed,
+	debugpage.Error(w, http.StatusMethodNotAllowed,
 		fmt.Errorf("method %s not allowed", r.Method))
 }
 

@@ -28,7 +28,7 @@ func TestGatewayStatuszREDWindow(t *testing.T) {
 		}
 	}
 
-	fx := bootFederated(t, 1, func(o *Options) { o.SLOFastWindow = time.Nanosecond })
+	fx := bootFederated(t, 1, func(o *Options) { o.SLO.FastWindow = time.Nanosecond })
 	defer fx.close()
 	deadline := time.Now().Add(5 * time.Second)
 	for fx.gw.Monitor().Status().Ticks == 0 { // the loop's immediate first tick
@@ -54,7 +54,7 @@ func TestGatewayStatuszREDWindow(t *testing.T) {
 		t.Errorf("POST /debug/statusz: code = %d, Allow = %q", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 
-	off := bootFederated(t, 1, func(o *Options) { o.ScrapeInterval = 0 })
+	off := bootFederated(t, 1, func(o *Options) { o.SLO.ScrapeInterval = 0 })
 	defer off.close()
 	hit(t, off.gwTS.URL, "/v1/solve?variant=i&k=3", 3)
 	row = "<td>" + off.nodeTS[0].URL + "</td><td>/v1/solve</td>"

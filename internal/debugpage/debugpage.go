@@ -1,10 +1,12 @@
 // Package debugpage is what the operator endpoints share: Negotiate picks
-// a representation from an Accept header, and Page writes the one HTML
-// layout every debug page uses, escaping whatever is not typed HTML. It
-// imports only the standard library.
+// a representation from an Accept header, Page writes the one HTML layout
+// every debug page uses, escaping whatever is not typed HTML, and Error
+// writes the one JSON error envelope every endpoint answers failures with.
+// It imports only the standard library.
 package debugpage
 
 import (
+	"encoding/json"
 	"fmt"
 	"html"
 	"io"
@@ -149,4 +151,17 @@ func cell(v any) string {
 		return string(h)
 	}
 	return html.EscapeString(fmt.Sprint(v))
+}
+
+// Error answers status with the JSON error envelope {"error", "requestId"}.
+// The request ID is the X-Request-ID the response already carries (the
+// node's middleware and the gateway set it before any handler runs); it is
+// left out when there is none.
+func Error(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(struct {
+		Error     string `json:"error"`
+		RequestID string `json:"requestId,omitempty"`
+	}{err.Error(), w.Header().Get("X-Request-ID")})
 }

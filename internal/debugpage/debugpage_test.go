@@ -3,6 +3,7 @@ package debugpage
 import (
 	"fmt"
 	"mime"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -195,5 +196,22 @@ func TestPage(t *testing.T) {
 	}
 	if n, m := strings.Count(page, "<table>"), strings.Count(page, "</table>"); n != 2 || m != 2 {
 		t.Errorf("%d tables opened, %d closed, want 2 and 2", n, m)
+	}
+}
+
+func TestError(t *testing.T) {
+	for _, c := range []struct{ id, want string }{
+		{"", `{"error":"no \"x\" here"}` + "\n"},
+		{"abc123", `{"error":"no \"x\" here","requestId":"abc123"}` + "\n"},
+	} {
+		rr := httptest.NewRecorder()
+		if c.id != "" {
+			rr.Header().Set("X-Request-ID", c.id)
+		}
+		Error(rr, http.StatusNotFound, fmt.Errorf("no %q here", "x"))
+		if rr.Code != http.StatusNotFound || rr.Header().Get("Content-Type") != "application/json" || rr.Body.String() != c.want {
+			t.Errorf("X-Request-ID %q: %d %q %q, want 404 application/json %q",
+				c.id, rr.Code, rr.Header().Get("Content-Type"), rr.Body.String(), c.want)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (c *Capturer) Handler() http.Handler {
 			c.serveCapture(w, r)
 		default:
 			w.Header().Set("Allow", "GET, POST")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			debugpage.Error(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		}
 	})
 }
@@ -59,7 +59,7 @@ func (c *Capturer) Handler() http.Handler {
 func (c *Capturer) serveDownload(w http.ResponseWriter, r *http.Request, id string) {
 	rc, e, err := c.Open(id)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		debugpage.Error(w, http.StatusNotFound, err)
 		return
 	}
 	defer rc.Close()
@@ -72,18 +72,18 @@ func (c *Capturer) serveDownload(w http.ResponseWriter, r *http.Request, id stri
 func (c *Capturer) serveCapture(w http.ResponseWriter, r *http.Request) {
 	kind := Kind(r.URL.Query().Get("capture"))
 	if kind == "" {
-		http.Error(w, "missing ?capture=<kind>", http.StatusBadRequest)
+		debugpage.Error(w, http.StatusBadRequest, errors.New("missing ?capture=<kind>"))
 		return
 	}
 	if !ValidKind(kind) {
-		http.Error(w, fmt.Sprintf("unknown profile kind %q", kind), http.StatusBadRequest)
+		debugpage.Error(w, http.StatusBadRequest, fmt.Errorf("unknown profile kind %q", kind))
 		return
 	}
 	var seconds float64
 	if s := r.URL.Query().Get("seconds"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v <= 0 || v > maxCaptureSeconds {
-			http.Error(w, fmt.Sprintf("seconds must be in (0, %d]", maxCaptureSeconds), http.StatusBadRequest)
+			debugpage.Error(w, http.StatusBadRequest, fmt.Errorf("seconds must be in (0, %d]", maxCaptureSeconds))
 			return
 		}
 		seconds = v
@@ -94,7 +94,7 @@ func (c *Capturer) serveCapture(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrCPUBusy) {
 			status = http.StatusConflict
 		}
-		http.Error(w, err.Error(), status)
+		debugpage.Error(w, status, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -128,7 +128,7 @@ func (c *Capturer) serveIndex(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(ix)
 		return
 	case "":
-		http.Error(w, fmt.Sprintf("not acceptable %q (use text/html or application/json)", accept), http.StatusNotAcceptable)
+		debugpage.Error(w, http.StatusNotAcceptable, fmt.Errorf("not acceptable %q (use text/html or application/json)", accept))
 		return
 	}
 	p := debugpage.New("prefcoverd profilez", "/debug/profilez")

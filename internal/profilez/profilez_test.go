@@ -356,9 +356,16 @@ func TestHandlerIndexCaptureDownload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var env struct {
+			Error string `json:"error"`
+		}
+		decodeErr := json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s %q: status %d, want %d", tc.method, tc.query, resp.StatusCode, tc.status)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" || decodeErr != nil || env.Error == "" {
+			t.Errorf("%s %q: Content-Type %q, error %q (%v); want the JSON error envelope", tc.method, tc.query, ct, env.Error, decodeErr)
 		}
 	}
 }
@@ -468,7 +475,7 @@ func TestIndexNegotiation(t *testing.T) {
 		{"/debug/profilez", "application/json", http.StatusOK, "application/json"},
 		{"/debug/profilez", "application/json; charset=utf-8", http.StatusOK, "application/json"},
 		{"/debug/profilez", "application/json, text/html", http.StatusOK, "application/json"},
-		{"/debug/profilez", "image/png", http.StatusNotAcceptable, "text/plain"},
+		{"/debug/profilez", "image/png", http.StatusNotAcceptable, "application/json"},
 		{"/debug/profilez?format=json", "text/html", http.StatusOK, "application/json"},
 		{"/debug/profilez?format=json", "image/png", http.StatusOK, "application/json"},
 	} {

@@ -84,11 +84,14 @@ import (
 	"prefcover"
 	"prefcover/adapt"
 	"prefcover/clickstream"
+	"prefcover/internal/apiclient"
+	"prefcover/internal/debugpage"
 	"prefcover/internal/faults"
 	"prefcover/internal/greedy"
 	"prefcover/internal/jobs"
 	"prefcover/internal/metrics"
 	"prefcover/internal/profilez"
+	"prefcover/internal/promtext"
 	"prefcover/internal/slo"
 	"prefcover/internal/solvecache"
 	"prefcover/internal/store"
@@ -195,10 +198,11 @@ type Config struct {
 	// -pprof flag. /debug/profilez exists independently of it: profilez
 	// snapshots and retains, /debug/pprof serves live one-shot pulls.
 	EnablePprof bool
-	// SLO enables the burn-rate monitor (-slo-spec, -scrape-interval,
-	// -alert-webhook). The zero value leaves it off: no background loop,
-	// /debug/slo reports disabled.
-	SLO SLOConfig
+	// SLO enables the burn-rate monitor, which each interval records the
+	// registry snapshot /metrics serves (no HTTP hop, no text) for
+	// /debug/slo and the statusz RED table. The zero value leaves it off:
+	// no background loop, /debug/slo reports disabled.
+	SLO slo.Config
 }
 
 // New returns a Server with the given limits and default subsystem bounds;
@@ -269,8 +273,13 @@ func NewWithConfig(cfg Config) (*Server, error) {
 	s.capturer = profilez.New(profOpts)
 	s.capturer.Start()
 	s.enablePprof = cfg.EnablePprof
-	if cfg.SLO.enabled() {
-		s.monitor = s.newMonitor(cfg.SLO)
+	if cfg.SLO.Enabled() {
+		s.monitor = slo.NewMonitor(slo.MonitorOptions{
+			Config: cfg.SLO,
+			Scrape: func() (*promtext.Metrics, error) { return s.snapshot(), nil },
+			Alerts: s.met.alerts,
+			Logger: s.logger,
+		})
 		s.monitor.Start()
 	}
 	return s, nil
@@ -286,6 +295,9 @@ func (s *Server) Close() {
 		s.monitor.Close()
 	}
 }
+
+// Monitor exposes the SLO monitor; nil unless Config.SLO enables it.
+func (s *Server) Monitor() *slo.Monitor { return s.monitor }
 
 // Store exposes the graph registry (tests, embedders).
 func (s *Server) Store() *store.Registry { return s.store }
@@ -454,11 +466,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/traces", s.handleTraces)
 	mux.HandleFunc("/debug/statusz", s.handleStatusz)
 	mux.Handle("/debug/profilez", s.capturer.Handler())
-	if s.monitor != nil {
-		mux.Handle("/debug/slo", s.monitor.DebugHandler())
-	} else {
-		mux.Handle("/debug/slo", slo.DisabledHandler())
-	}
+	mux.Handle("/debug/slo", s.monitor.DebugHandler())
 	if s.enablePprof {
 		// The stock pprof handlers, on the same mux as every other
 		// /debug/* page (no second listener): live one-shot pulls for
@@ -623,16 +631,10 @@ func (s *Server) solve(ctx context.Context, g *prefcover.Graph, opts prefcover.O
 	return sol, &usage, err
 }
 
-// apiError is the JSON error envelope; RequestID lets a client quote the
-// exact server-side log lines for its failure.
-type apiError struct {
-	Error     string `json:"error"`
-	RequestID string `json:"requestId,omitempty"`
-}
-
-// writeError writes the JSON error envelope. A body cut off at
-// MaxBodyBytes is 413 whatever status the handler chose, so every handler
-// that reads a bounded body reports it the same way.
+// writeError logs a failure and answers it with the JSON error envelope,
+// whose requestId lets a client quote the exact server-side log lines. A
+// body cut off at MaxBodyBytes is 413 whatever status the handler chose,
+// so every handler that reads a bounded body reports it the same way.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -646,9 +648,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 			slog.String("request_id", reqID),
 		)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(apiError{Error: err.Error(), RequestID: reqID})
+	debugpage.Error(w, status, err)
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -660,32 +660,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"status": "ok"})
 }
 
-// readyResponse is the /readyz body. Beyond the ready bit it carries the
-// load signals a routing gateway uses for its least-loaded tiebreak:
-// queued and running async jobs plus occupied solver slots, all cheap
-// snapshots (no /metrics scrape needed on the probe path).
-type readyResponse struct {
-	Status     string `json:"status"` // "ready" | "unavailable"
-	Graphs     int    `json:"graphs"`
-	QueueDepth int    `json:"queueDepth"`
-	QueueCap   int    `json:"queueCap"`
-	Running    int    `json:"running"`
-	InFlight   int    `json:"inFlight"` // occupied solver slots (0 when unlimited)
-}
-
 // handleReady is the readiness probe: 200 while the server can take new
 // work, 503 once the async job queue is saturated (a submit would be
 // rejected with ErrQueueFull). Liveness stays on /healthz; gateways and
 // orchestrators should probe this endpoint instead.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	resp := readyResponse{
-		Status:     "ready",
+	resp := apiclient.Ready{Status: "ready", Load: apiclient.Load{
 		Graphs:     s.store.Len(),
 		QueueDepth: s.jobs.Depth(),
 		QueueCap:   s.jobs.Cap(),
 		Running:    s.jobs.Running(),
 		InFlight:   len(s.sem),
-	}
+	}}
 	if resp.QueueDepth >= resp.QueueCap {
 		resp.Status = "unavailable"
 		w.Header().Set("Content-Type", "application/json")

@@ -38,7 +38,7 @@ func sloSpec(t *testing.T, text string) slo.Spec {
 func TestServerSLOEndToEnd(t *testing.T) {
 	s, err := NewWithConfig(Config{
 		Logger: testLogger(t),
-		SLO: SLOConfig{
+		SLO: slo.Config{
 			Spec:           sloSpec(t, "avail:/v1/solve:99"),
 			ScrapeInterval: time.Hour, // the loop's first immediate tick, then manual Ticks
 			FastWindow:     100 * time.Millisecond,
@@ -161,7 +161,7 @@ func TestServerSLODisabled(t *testing.T) {
 	s := New(Limits{}, testLogger(t))
 	defer s.Close()
 	if s.Monitor() != nil {
-		t.Fatal("monitor should be nil without SLOConfig")
+		t.Fatal("monitor should be nil without Config.SLO")
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -182,7 +182,7 @@ func TestServerSLODisabled(t *testing.T) {
 func TestSLOConcurrentScrapeEvaluateRender(t *testing.T) {
 	s, err := NewWithConfig(Config{
 		Logger: testLogger(t),
-		SLO: SLOConfig{
+		SLO: slo.Config{
 			Spec:           sloSpec(t, "avail:/v1/solve:99.9,p99:/v1/solve:0.05"),
 			ScrapeInterval: time.Millisecond,
 			FastWindow:     50 * time.Millisecond,

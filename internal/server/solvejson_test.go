@@ -128,7 +128,9 @@ func TestWriteSolveNonFinite(t *testing.T) {
 		if rec.Code != http.StatusInternalServerError {
 			t.Fatalf("%s: status = %d, want 500", name, rec.Code)
 		}
-		var env apiError
+		var env struct {
+			Error string `json:"error"`
+		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error != "json: unsupported value: NaN" {
 			t.Fatalf("%s: body = %q (%v)", name, rec.Body.Bytes(), err)
 		}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"prefcover/internal/slo"
 )
 
 // TestStatuszREDWindow: with a monitor the RED table covers the fast SLO
@@ -44,7 +46,7 @@ func TestStatuszREDWindow(t *testing.T) {
 	healthz(t, s, ts.URL, 2)
 	statusz(t, ts.URL, "<h2>Endpoints (RED, since boot)</h2>", "<tr><td>/healthz</td><td>5</td>")
 
-	s, ts = newServingServer(t, Config{SLO: SLOConfig{ScrapeInterval: time.Hour, FastWindow: time.Nanosecond}})
+	s, ts = newServingServer(t, Config{SLO: slo.Config{ScrapeInterval: time.Hour, FastWindow: time.Nanosecond}})
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Monitor().Status().Ticks == 0 { // the loop's immediate first tick
 		if time.Now().After(deadline) {
@@ -64,7 +66,7 @@ func TestStatuszREDWindow(t *testing.T) {
 // (and their lazily built sample index) with the evaluator. Run it under
 // -race.
 func TestStatuszConcurrentTicks(t *testing.T) {
-	s, ts := newServingServer(t, Config{SLO: SLOConfig{
+	s, ts := newServingServer(t, Config{SLO: slo.Config{
 		Spec:           sloSpec(t, "avail:/v1/solve:99.9,p99:/v1/solve:0.05"),
 		ScrapeInterval: time.Millisecond,
 	}})

@@ -28,10 +28,10 @@ const (
 	SeverityCritical Severity = "critical"
 )
 
-// EvalConfig names the metric families and windows the evaluator reads.
-// The zero value evaluates the single-node serving metrics; the gateway
-// overrides the names with its cluster-aggregated families.
-type EvalConfig struct {
+// evalConfig names the metric families and windows the evaluator reads.
+// Empty names read the single-node serving metrics; the gateway names its
+// cluster-aggregated families.
+type evalConfig struct {
 	// FastWindow catches fresh outages (default 5m); SlowWindow
 	// suppresses blips (default 1h). An alert needs the burn over
 	// threshold on BOTH.
@@ -52,7 +52,7 @@ const (
 	DefaultSlowWindow = time.Hour
 )
 
-func (c EvalConfig) withDefaults() EvalConfig {
+func (c evalConfig) withDefaults() evalConfig {
 	if c.FastWindow <= 0 {
 		c.FastWindow = DefaultFastWindow
 	}
@@ -110,7 +110,7 @@ func (e Evaluation) WorstBurn() float64 {
 }
 
 // evaluate computes one objective's burns from the tsdb history.
-func evaluate(db *tsdb.DB, cfg EvalConfig, o Objective) Evaluation {
+func evaluate(db *tsdb.DB, cfg evalConfig, o Objective) Evaluation {
 	ev := Evaluation{Objective: o}
 	ev.Fast = windowBurn(db, cfg, o, cfg.FastWindow)
 	ev.Slow = windowBurn(db, cfg, o, cfg.SlowWindow)
@@ -118,7 +118,7 @@ func evaluate(db *tsdb.DB, cfg EvalConfig, o Objective) Evaluation {
 	return ev
 }
 
-func windowBurn(db *tsdb.DB, cfg EvalConfig, o Objective, window time.Duration) WindowBurn {
+func windowBurn(db *tsdb.DB, cfg evalConfig, o Objective, window time.Duration) WindowBurn {
 	older, newer, _, ok := db.Window(window)
 	if !ok {
 		return WindowBurn{}

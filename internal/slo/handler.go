@@ -11,8 +11,12 @@ import (
 
 // DebugHandler serves the monitor at /debug/slo: an HTML dashboard by
 // default, JSON for Accept: application/json — /debug/traces' negotiation
-// with HTML first, because this page is operator-first.
+// with HTML first, because this page is operator-first. A nil monitor
+// serves DisabledHandler.
 func (m *Monitor) DebugHandler() http.Handler {
+	if m == nil {
+		return DisabledHandler()
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		wantJSON, ok := negotiate(w, r)
 		if !ok {
@@ -56,7 +60,7 @@ func DisabledHandler() http.Handler {
 func negotiate(w http.ResponseWriter, r *http.Request) (wantJSON, ok bool) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		debugpage.Error(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return false, false
 	}
 	header := r.Header.Get("Accept")
@@ -66,7 +70,7 @@ func negotiate(w http.ResponseWriter, r *http.Request) (wantJSON, ok bool) {
 	case "application/json":
 		return true, true
 	}
-	http.Error(w, fmt.Sprintf("not acceptable %q (use text/html or application/json)", header), http.StatusNotAcceptable)
+	debugpage.Error(w, http.StatusNotAcceptable, fmt.Errorf("not acceptable %q (use text/html or application/json)", header))
 	return false, false
 }
 

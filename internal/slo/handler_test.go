@@ -20,7 +20,7 @@ func newHandlerMonitor(t *testing.T) *Monitor {
 		t.Fatal(err)
 	}
 	m := NewMonitor(MonitorOptions{
-		Spec: spec,
+		Config: Config{Spec: spec},
 		Scrape: func() (*promtext.Metrics, error) {
 			return promtext.Parse(strings.NewReader("prefcover_http_requests_total{endpoint=\"/v1/solve\",code=\"200\"} 10\n"))
 		},
@@ -88,6 +88,7 @@ func TestDebugHandlerMethodsAndAccept(t *testing.T) {
 			if rr.Code != 405 || rr.Header().Get("Allow") != "GET, HEAD" {
 				t.Fatalf("POST: code = %d, Allow = %q", rr.Code, rr.Header().Get("Allow"))
 			}
+			errorEnvelope(t, rr)
 			req := httptest.NewRequest("GET", "/debug/slo", nil)
 			req.Header.Set("Accept", "image/png")
 			rr = httptest.NewRecorder()
@@ -95,7 +96,20 @@ func TestDebugHandlerMethodsAndAccept(t *testing.T) {
 			if rr.Code != 406 {
 				t.Fatalf("unacceptable Accept: code = %d, want 406", rr.Code)
 			}
+			errorEnvelope(t, rr)
 		})
+	}
+}
+
+// errorEnvelope checks a failed answer is the JSON error envelope every
+// endpoint shares.
+func errorEnvelope(t *testing.T, rr *httptest.ResponseRecorder) {
+	t.Helper()
+	var env struct {
+		Error string `json:"error"`
+	}
+	if ct := rr.Header().Get("Content-Type"); ct != "application/json" || json.Unmarshal(rr.Body.Bytes(), &env) != nil || env.Error == "" {
+		t.Errorf("%d answer: Content-Type %q, body %q; want the JSON error envelope", rr.Code, ct, rr.Body.String())
 	}
 }
 

@@ -49,7 +49,7 @@ func newHarness(t *testing.T, spec string, fast, slow, forDur time.Duration) *ha
 		t.Fatalf("spec: %v", err)
 	}
 	h.mon = NewMonitor(MonitorOptions{
-		Spec: s,
+		Config: Config{Spec: s, FastWindow: fast, SlowWindow: slow, ForDuration: forDur},
 		Scrape: func() (*promtext.Metrics, error) {
 			var buf bytes.Buffer
 			if err := h.reg.WritePrometheus(&buf); err != nil {
@@ -57,12 +57,10 @@ func newHarness(t *testing.T, spec string, fast, slow, forDur time.Duration) *ha
 			}
 			return promtext.Parse(&buf)
 		},
-		Eval:        EvalConfig{FastWindow: fast, SlowWindow: slow},
-		ForDuration: forDur,
-		Alerts:      h.alertsGV,
-		Logger:      slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil)),
-		Notifier:    &recordingNotifier{h},
-		Now:         func() time.Time { return h.clock },
+		Alerts:   h.alertsGV,
+		Logger:   slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil)),
+		Notifier: &recordingNotifier{h},
+		Now:      func() time.Time { return h.clock },
 	})
 	t.Cleanup(h.mon.Close)
 	return h
@@ -301,7 +299,6 @@ func TestNoTrafficNeverAlerts(t *testing.T) {
 func TestScrapeErrorIsSurfacedNotFatal(t *testing.T) {
 	calls := 0
 	m := NewMonitor(MonitorOptions{
-		Spec: Spec{},
 		Scrape: func() (*promtext.Metrics, error) {
 			calls++
 			return nil, fmt.Errorf("scrape boom %d", calls)
@@ -324,8 +321,7 @@ func TestMonitorStartClose(t *testing.T) {
 	var mu sync.Mutex
 	n := 0
 	m := NewMonitor(MonitorOptions{
-		Spec:     Spec{},
-		Interval: time.Millisecond,
+		Config: Config{ScrapeInterval: time.Millisecond},
 		Scrape: func() (*promtext.Metrics, error) {
 			mu.Lock()
 			n++
@@ -352,7 +348,6 @@ func TestMonitorStartClose(t *testing.T) {
 	m.Close() // idempotent
 	// A monitor that was never started must also close cleanly.
 	m2 := NewMonitor(MonitorOptions{
-		Spec:   Spec{},
 		Scrape: func() (*promtext.Metrics, error) { return nil, nil },
 	})
 	m2.Close()
@@ -368,7 +363,6 @@ func TestOverlappingTicksKeepNewestScrape(t *testing.T) {
 	var mu sync.Mutex
 	n := 0
 	m := NewMonitor(MonitorOptions{
-		Spec: Spec{},
 		Scrape: func() (*promtext.Metrics, error) {
 			mu.Lock()
 			n++

@@ -18,30 +18,55 @@ type Notifier interface {
 	Notify(ctx context.Context, t Transition) error
 }
 
-// MonitorOptions configures a Monitor.
-type MonitorOptions struct {
-	// Spec lists the objectives; an empty spec still scrapes (feeding
-	// statusz sparklines) but never alerts.
+// Config is the monitor's configuration, the same for both daemon roles:
+// prefcoverd's -slo-spec, -scrape-interval, -slo-fast-window,
+// -slo-slow-window, -slo-for and -alert-webhook flags.
+type Config struct {
+	// Spec lists the objectives (see ParseSpec). An empty spec with a
+	// positive ScrapeInterval still records history for windowed queries
+	// and statusz, but never alerts.
 	Spec Spec
+	// ScrapeInterval is the Start loop's cadence (default 10s); Tick
+	// also drives the monitor directly (ScrapeNodes, tests).
+	ScrapeInterval time.Duration
+	// FastWindow/SlowWindow/ForDuration tune the evaluator; zero values
+	// use the defaults (5m/1h/30s).
+	FastWindow  time.Duration
+	SlowWindow  time.Duration
+	ForDuration time.Duration
+	// Webhook, when set, receives firing/resolved transitions as JSON
+	// POSTs with retry.
+	Webhook string
+}
+
+// Enabled reports whether c asks for a monitor at all: a spec or a scrape
+// interval turns it on.
+func (c Config) Enabled() bool {
+	return c.Spec.Enabled() || c.ScrapeInterval > 0
+}
+
+// MonitorOptions configures a Monitor: the role's Config plus what the
+// role monitors.
+type MonitorOptions struct {
+	Config
 	// Scrape produces one metrics snapshot per tick: the single-node
 	// server's registry snapshot, or the gateway's registry plus its
 	// federated families.
 	Scrape func() (*promtext.Metrics, error)
-	// Interval is the Start loop's cadence (default 10s). Tick can also
-	// be driven externally (the gateway calls it from its scrape loop,
-	// tests call it directly).
-	Interval time.Duration
-	// Eval names windows and metric families.
-	Eval EvalConfig
-	// ForDuration is the two-way alert hysteresis (default 30s).
-	ForDuration time.Duration
+	// RequestsMetric is a counter labeled endpoint and code (default
+	// prefcover_http_requests_total); 5xx codes count against
+	// availability. LatencyMetric is a histogram labeled endpoint (default
+	// prefcover_http_request_duration_seconds).
+	RequestsMetric string
+	LatencyMetric  string
 	// Alerts, when non-nil, receives the alert lifecycle as
 	// ALERTS{alertname,endpoint,severity,state} gauge series.
 	Alerts *metrics.GaugeVec
 	// Logger receives one structured record per transition.
 	Logger *slog.Logger
-	// Notifier, when non-nil, is called for every pending→firing and
-	// firing→resolved transition (not pending flaps).
+	// Notifier is called for every pending→firing and firing→resolved
+	// transition (not pending flaps). Nil means a WebhookNotifier for
+	// Config.Webhook, or none without one.
 	Notifier Notifier
 	// Now injects the clock (default time.Now).
 	Now func() time.Time
@@ -58,7 +83,7 @@ const notifyTimeout = 10 * time.Second
 type Monitor struct {
 	scrape      func() (*promtext.Metrics, error)
 	interval    time.Duration
-	eval        EvalConfig
+	eval        evalConfig
 	forDur      time.Duration
 	alertsGauge *metrics.GaugeVec
 	logger      *slog.Logger
@@ -96,9 +121,13 @@ func NewMonitor(opts MonitorOptions) *Monitor {
 	if now == nil {
 		now = time.Now
 	}
-	interval := opts.Interval
+	interval := opts.ScrapeInterval
 	if interval <= 0 {
 		interval = DefaultInterval
+	}
+	notifier := opts.Notifier
+	if notifier == nil && opts.Webhook != "" {
+		notifier = &WebhookNotifier{URL: opts.Webhook}
 	}
 	forDur := opts.ForDuration
 	if forDur <= 0 {
@@ -108,15 +137,17 @@ func NewMonitor(opts MonitorOptions) *Monitor {
 	if logger == nil {
 		logger = slog.Default()
 	}
+	eval := evalConfig{FastWindow: opts.FastWindow, SlowWindow: opts.SlowWindow,
+		RequestsMetric: opts.RequestsMetric, LatencyMetric: opts.LatencyMetric}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
 		scrape:      opts.Scrape,
 		interval:    interval,
-		eval:        opts.Eval.withDefaults(),
+		eval:        eval.withDefaults(),
 		forDur:      forDur,
 		alertsGauge: opts.Alerts,
 		logger:      logger,
-		notifier:    opts.Notifier,
+		notifier:    notifier,
 		now:         now,
 		db:          tsdb.New(tsdb.Options{Now: now}),
 		spec:        opts.Spec,
