@@ -6,10 +6,12 @@ FUZZTIME ?= 10s
 # CHAOS_SEEDS=... to replay a specific failing schedule.
 CHAOS_SEEDS ?= 1,7,1337
 
-# Packages whose test coverage is floored (the resilience layer and the
-# gateway that routes around failures: silent coverage rot here would
-# hollow out the chaos suite's guarantees and the gateway's routing tests).
-COVER_PKGS := ./internal/retry ./internal/faults ./internal/cluster
+# Packages whose test coverage is floored: the resilience layer, the
+# gateway that routes around failures, and the one solver path (the kernel
+# state every strategy runs on, and greedy's strategies over it). Silent
+# coverage rot here would hollow out the chaos suite's guarantees, the
+# gateway's routing tests and the differential suite's.
+COVER_PKGS := ./internal/retry ./internal/faults ./internal/cluster ./internal/kernel ./internal/greedy
 COVER_FLOOR := 70
 
 # Every fuzz target in the repo, as package:Func pairs. go test allows only
@@ -144,7 +146,7 @@ fmt-check:
 # ci is the pre-merge gate: static checks, full build and tests (including
 # the race detector — the jobs/cache/store subsystems are concurrency-heavy —
 # and the multi-seed chaos suites via test-race), coverage floors on the
-# resilience packages, the statusz/metrics daemon smoke test, the cluster
+# COVER_PKGS packages, the statusz/metrics daemon smoke test, the cluster
 # smoke test (real nodes + gateway, kill-one-node failover), plus a smoke
 # run of the benchmark harness (tiny benchtime; result discarded), and
 # the bench-gate regression check of the gain kernels against the committed

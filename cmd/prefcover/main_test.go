@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,26 +13,19 @@ import (
 )
 
 func TestPeekReader(t *testing.T) {
-	pr := newPeekReader(strings.NewReader("hello"))
-	b, err := pr.peekByte()
+	br, b, err := peekFirst(strings.NewReader("hello"))
 	if err != nil || b != 'h' {
 		t.Fatalf("peek = %c, %v", b, err)
 	}
-	// Peeking twice is stable.
-	b2, err := pr.peekByte()
-	if err != nil || b2 != 'h' {
-		t.Fatalf("second peek = %c, %v", b2, err)
-	}
-	all, err := io.ReadAll(pr)
+	all, err := io.ReadAll(br)
 	if err != nil || string(all) != "hello" {
 		t.Fatalf("read after peek = %q, %v", all, err)
 	}
 }
 
 func TestPeekReaderEmpty(t *testing.T) {
-	pr := newPeekReader(strings.NewReader(""))
-	if _, err := pr.peekByte(); err == nil {
-		t.Fatal("peek on empty stream should fail")
+	if _, _, err := peekFirst(strings.NewReader("")); !errors.Is(err, io.EOF) {
+		t.Fatalf("peek on an empty stream = %v, want io.EOF", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -36,8 +37,7 @@ func readClickstream(path, format string) (*clickstream.Store, error) {
 	case "jsonl":
 		src = clickstream.NewJSONLReader(f)
 	case "auto":
-		br := newPeekReader(f)
-		first, err := br.peekByte()
+		br, first, err := peekFirst(f)
 		if err != nil {
 			return nil, fmt.Errorf("reading clickstream: %w", err)
 		}
@@ -156,8 +156,7 @@ func readGraph(path string) (*prefcover.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := newPeekReader(f)
-	first, err := br.peekByte()
+	br, first, err := peekFirst(f)
 	if err != nil {
 		return nil, fmt.Errorf("reading graph: %w", err)
 	}
@@ -382,36 +381,14 @@ func pct(a, b int) float64 {
 	return 100 * float64(a) / float64(b)
 }
 
-// peekReader lets the pipeline sniff the first byte of a stream without
-// consuming it.
-type peekReader struct {
-	r      io.Reader
-	peeked []byte
-}
-
-func newPeekReader(r io.Reader) *peekReader { return &peekReader{r: r} }
-
-func (pr *peekReader) peekByte() (byte, error) {
-	if len(pr.peeked) > 0 {
-		return pr.peeked[0], nil
-	}
-	var b [1]byte
-	n, err := pr.r.Read(b[:])
-	for n == 0 && err == nil {
-		n, err = pr.r.Read(b[:])
-	}
+// peekFirst buffers r and returns its first byte without consuming it, so
+// the reader a format sniff picks still sees the whole stream. An empty
+// stream gives io.EOF.
+func peekFirst(r io.Reader) (*bufio.Reader, byte, error) {
+	br := bufio.NewReader(r)
+	b, err := br.Peek(1)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	pr.peeked = append(pr.peeked, b[0])
-	return b[0], nil
-}
-
-func (pr *peekReader) Read(p []byte) (int, error) {
-	if len(pr.peeked) > 0 {
-		n := copy(p, pr.peeked)
-		pr.peeked = pr.peeked[n:]
-		return n, nil
-	}
-	return pr.r.Read(p)
+	return br, b[0], nil
 }

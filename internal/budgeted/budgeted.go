@@ -21,8 +21,8 @@ import (
 	"errors"
 	"fmt"
 
-	"prefcover/internal/cover"
 	"prefcover/internal/graph"
+	"prefcover/internal/kernel"
 )
 
 // Spec configures Solve.
@@ -170,7 +170,8 @@ func (h *budgetHeap) Pop() interface{} {
 // (their affordability can only... never return; remaining budget only
 // shrinks, so they are dropped permanently).
 func greedyPass(g *graph.Graph, variant graph.Variant, cost []float64, budget float64, byRatio bool) *Result {
-	eng := cover.NewEngine(g, variant)
+	st := kernel.NewState(g, variant)
+	defer st.Release()
 	n := g.NumNodes()
 	h := make(budgetHeap, 0, n)
 	prio := func(v int32, gain float64) float64 {
@@ -180,7 +181,7 @@ func greedyPass(g *graph.Graph, variant graph.Variant, cost []float64, budget fl
 		return gain
 	}
 	for v := int32(0); v < int32(n); v++ {
-		h = append(h, budgetEntry{v: v, priority: prio(v, eng.Gain(v)), round: 0})
+		h = append(h, budgetEntry{v: v, priority: prio(v, st.Gain(v)), round: 0})
 	}
 	heap.Init(&h)
 	res := &Result{}
@@ -194,13 +195,13 @@ func greedyPass(g *graph.Graph, variant graph.Variant, cost []float64, budget fl
 			continue
 		}
 		if top.round != round {
-			h[0].priority = prio(top.v, eng.Gain(top.v))
+			h[0].priority = prio(top.v, st.Gain(top.v))
 			h[0].round = round
 			heap.Fix(&h, 0)
 			continue
 		}
 		heap.Pop(&h)
-		gain := eng.Add(top.v)
+		gain := st.Add(top.v)
 		if gain <= 0 {
 			// The fresh top priority is nonpositive and every other
 			// entry's stale bound is below it, so no candidate can still
@@ -221,14 +222,15 @@ func greedyPass(g *graph.Graph, variant graph.Variant, cost []float64, budget fl
 // bestSingle returns the highest-revenue single affordable item, or nil
 // when nothing is affordable.
 func bestSingle(g *graph.Graph, variant graph.Variant, cost []float64, budget float64) *Result {
-	eng := cover.NewEngine(g, variant)
+	st := kernel.NewState(g, variant)
+	defer st.Release()
 	best := int32(-1)
 	bestGain := -1.0
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		if cost[v] > budget {
 			continue
 		}
-		if gain := eng.Gain(v); gain > bestGain {
+		if gain := st.Gain(v); gain > bestGain {
 			best, bestGain = v, gain
 		}
 	}

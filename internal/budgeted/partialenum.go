@@ -3,8 +3,8 @@ package budgeted
 import (
 	"fmt"
 
-	"prefcover/internal/cover"
 	"prefcover/internal/graph"
+	"prefcover/internal/kernel"
 )
 
 // SolvePartialEnum runs the partial-enumeration variant of the budgeted
@@ -78,13 +78,14 @@ func SolvePartialEnum(g *graph.Graph, spec Spec, maxSeeds int64) (*Result, error
 	return best, nil
 }
 
-// completeGreedy seeds the engine with the given set and completes it with
+// completeGreedy seeds a pooled state with the given set and completes it with
 // the cost-ratio greedy under the remaining budget.
 func completeGreedy(scaled *graph.Graph, variant graph.Variant, cost []float64, budget float64, seed []int32) *Result {
-	eng := cover.NewEngine(scaled, variant)
+	st := kernel.NewState(scaled, variant)
+	defer st.Release()
 	res := &Result{}
 	for _, v := range seed {
-		gain := eng.Add(v)
+		gain := st.Add(v)
 		res.Order = append(res.Order, v)
 		res.Gains = append(res.Gains, gain)
 		res.CostUsed += cost[v]
@@ -95,10 +96,10 @@ func completeGreedy(scaled *graph.Graph, variant graph.Variant, cost []float64, 
 		bestRatio := 0.0
 		var bestGain float64
 		for v := int32(0); v < int32(scaled.NumNodes()); v++ {
-			if eng.Retained(v) || cost[v] > remaining {
+			if st.Retained(v) || cost[v] > remaining {
 				continue
 			}
-			g := eng.Gain(v)
+			g := st.Gain(v)
 			if g <= 0 {
 				continue
 			}
@@ -110,7 +111,7 @@ func completeGreedy(scaled *graph.Graph, variant graph.Variant, cost []float64, 
 		if best < 0 {
 			break
 		}
-		eng.Add(best)
+		st.Add(best)
 		res.Order = append(res.Order, best)
 		res.Gains = append(res.Gains, bestGain)
 		res.CostUsed += cost[best]

@@ -424,12 +424,14 @@ func (g *Gateway) replicateOne(r *http.Request, node string, body []byte, etag s
 	g.met.replication.With("stored").Inc()
 }
 
-// deleteGraph fans the delete out to every replica and relays the best
-// (lowest) status, so any replica that held the graph makes it a success.
+// deleteGraph fans the delete out to every routable node, the set gather
+// and the 404 walk use, and relays the best (lowest) status, so any node
+// that held the graph makes it a success. The current replica set is not
+// enough: after a join moves the primary, a former replica keeps a copy
+// the walk would still find.
 func (g *Gateway) deleteGraph(w http.ResponseWriter, r *http.Request, name string) {
-	replicas := g.replicasFor(name)
 	var best *nodeResponse
-	for _, node := range replicas {
+	for _, node := range g.healthyNodes() {
 		resp, err := g.forward(r, "/v1/graphs/{name}", nil, []string{node})
 		if err != nil {
 			continue
@@ -441,7 +443,7 @@ func (g *Gateway) deleteGraph(w http.ResponseWriter, r *http.Request, name strin
 	g.forgetSticky(name)
 	if best == nil {
 		debugpage.Error(w, http.StatusBadGateway,
-			fmt.Errorf("all replicas failed to delete %s", name))
+			fmt.Errorf("all nodes failed to delete %s", name))
 		return
 	}
 	g.relay(w, best)
@@ -489,7 +491,6 @@ func (g *Gateway) handleCompute(endpoint string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		g.met.routed.With("least_loaded").Inc()
 		g.forwardAndRelay(w, r, endpoint, "", body, g.healthyNodes(), nil)
 	}
 }

@@ -3,7 +3,8 @@ package cluster
 // Routing through the gateway, one behaviour per test: the merged
 // listings and their 502 rule, job polls through the owner and through the
 // 404 walk, reads and solves found by the walk after a join, DELETE's best
-// replica status, and which forwarded attempts the RED metrics count.
+// status and its reach past a join, which calls the routing counter
+// counts, and which forwarded attempts the RED metrics count.
 
 import (
 	"encoding/json"
@@ -239,6 +240,36 @@ func TestGatewayJobPolls(t *testing.T) {
 	}
 }
 
+// joinedPrimaries returns count graph names that extra, once it joins
+// fx's nodes, takes over as primary, and the ring after that join. With
+// R=2 over fx's two nodes, both of them hold every such graph.
+func joinedPrimaries(t *testing.T, fx *clusterFixture, extra string, count int) ([]string, *Ring) {
+	t.Helper()
+	after := NewRing(0)
+	for _, u := range append(fx.harness.NodeURLs(), extra) {
+		after.Add(u)
+	}
+	var names []string
+	for i := 0; len(names) < count && i < 10000; i++ {
+		if name := fmt.Sprintf("walk-%d", i); after.Lookup(name, 2)[0] == extra {
+			names = append(names, name)
+		}
+	}
+	if len(names) < count {
+		t.Fatal("no graph names placed on the joined node")
+	}
+	return names, after
+}
+
+// join adds node to the gateway's ring through the control plane.
+func join(t *testing.T, gw, node string) {
+	t.Helper()
+	resp, body := doGW(t, http.DefaultClient, http.MethodPost, gw+"/debug/cluster?action=join&node="+node, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("join = %d (%s)", resp.StatusCode, body)
+	}
+}
+
 // TestGatewayWalkAfterJoin: a joined node takes over as primary for some
 // graphs before it holds their bytes. A solve and a GET by name ask it
 // first, take its 404, and walk on to a replica that holds the graph.
@@ -250,27 +281,10 @@ func TestGatewayWalkAfterJoin(t *testing.T) {
 	extraFx := bootCluster(t, 1)
 	defer extraFx.close()
 	extra := extraFx.harness.NodeURLs()[0]
-	after := NewRing(0)
-	for _, u := range append(fx.harness.NodeURLs(), extra) {
-		after.Add(u)
-	}
-	// With R=2 over two nodes both hold every graph; the names wanted are
-	// those the join hands to the new node as primary.
-	var names []string
-	for i := 0; len(names) < 2 && i < 10000; i++ {
-		if name := fmt.Sprintf("walk-%d", i); after.Lookup(name, 2)[0] == extra {
-			names = append(names, name)
-		}
-	}
-	if len(names) < 2 {
-		t.Fatal("no graph names placed on the joined node")
-	}
+	names, after := joinedPrimaries(t, fx, extra, 2)
 	putGraphs(t, fx, names...)
 	gw := fx.harness.GatewayURL()
-	resp, body := doGW(t, http.DefaultClient, http.MethodPost, gw+"/debug/cluster?action=join&node="+extra, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("join = %d (%s)", resp.StatusCode, body)
-	}
+	join(t, gw, extra)
 
 	for _, c := range []struct {
 		method, path, endpoint, name string
@@ -291,9 +305,9 @@ func TestGatewayWalkAfterJoin(t *testing.T) {
 	}
 }
 
-// TestGatewayDeleteBestStatus: DELETE goes to every replica and relays the
+// TestGatewayDeleteBestStatus: DELETE goes to every node and relays the
 // best answer, so a replica that already lost the graph does not hide the
-// other's success; once no replica holds it the answer is 404.
+// other's success; once no node holds it the answer is 404.
 func TestGatewayDeleteBestStatus(t *testing.T) {
 	fx := bootCluster(t, 3)
 	defer fx.close()
@@ -314,6 +328,90 @@ func TestGatewayDeleteBestStatus(t *testing.T) {
 	resp, body = doGW(t, http.DefaultClient, http.MethodDelete, gw+"/v1/graphs/alpha", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("second DELETE = %d (%s), want 404", resp.StatusCode, body)
+	}
+}
+
+// TestGatewayDeleteAfterJoin: after a join hands a graph's primary to a
+// node that never held it, DELETE still reaches both former replicas, so
+// the graph is gone: a GET by name answers 404 and the listing omits it.
+func TestGatewayDeleteAfterJoin(t *testing.T) {
+	fx := bootCluster(t, 2)
+	defer fx.close()
+	extraFx := bootCluster(t, 1)
+	defer extraFx.close()
+	extra := extraFx.harness.NodeURLs()[0]
+	names, _ := joinedPrimaries(t, fx, extra, 1)
+	name := names[0]
+	putGraphs(t, fx, name)
+	gw := fx.harness.GatewayURL()
+	join(t, gw, extra)
+
+	resp, body := doGW(t, http.DefaultClient, http.MethodDelete, gw+"/v1/graphs/"+name, nil)
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE after join = %d (%s), want 204", resp.StatusCode, body)
+	}
+	resp, body = doGW(t, http.DefaultClient, http.MethodGet, gw+"/v1/graphs/"+name, nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET after DELETE = %d from %s (%.80s), want 404", resp.StatusCode, resp.Header.Get("X-Prefcover-Node"), body)
+	}
+	resp, body = doGW(t, http.DefaultClient, http.MethodGet, gw+"/v1/graphs", nil)
+	var lb struct {
+		Graphs []struct {
+			Name string `json:"name"`
+		} `json:"graphs"`
+	}
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &lb) != nil {
+		t.Fatalf("GET /v1/graphs = %d (%s)", resp.StatusCode, body)
+	}
+	for _, gi := range lb.Graphs {
+		if gi.Name == name {
+			t.Errorf("the listing still names deleted graph %s", name)
+		}
+	}
+}
+
+// TestGatewayRoutedCountsSolves: prefcover_gateway_routed_total counts
+// solve routing decisions only. Adapt, pipeline and stats calls leave it
+// unchanged; an inline solve counts least_loaded and a reference solve
+// sticky.
+func TestGatewayRoutedCountsSolves(t *testing.T) {
+	fx := bootCluster(t, 2)
+	defer fx.close()
+	putGraphs(t, fx, "alpha")
+	gw := fx.harness.GatewayURL()
+	routed := func(strategy string) int64 {
+		var n int64
+		for _, s := range fx.gw.reg.Snapshot().Samples("prefcover_gateway_routed_total") {
+			if s.Labels.Matches(map[string]string{"strategy": strategy}) {
+				n += int64(s.Value)
+			}
+		}
+		return n
+	}
+	sessions := []byte(`{"id":"s1","purchase":"a","clicks":["b"]}` + "\n" + `{"id":"s2","purchase":"b","clicks":["a"]}` + "\n")
+	inline := graphBody(t, fx.graphs["alpha"])
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/adapt", sessions},
+		{"/v1/pipeline?k=1", sessions},
+		{"/v1/stats", inline},
+	} {
+		if resp, body := doGW(t, http.DefaultClient, http.MethodPost, gw+c.path, c.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d (%s)", c.path, resp.StatusCode, body)
+		}
+	}
+	if n := sumCounters(fx.gw.reg, "prefcover_gateway_routed_total"); n != 0 {
+		t.Errorf("adapt, pipeline and stats counted %d routing decisions, want 0", n)
+	}
+	for _, body := range [][]byte{inline, []byte(`{"graph_ref":"alpha"}`)} {
+		if resp, out := doGW(t, http.DefaultClient, http.MethodPost, gw+"/v1/solve?variant=independent&k=3", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/solve = %d (%s)", resp.StatusCode, out)
+		}
+	}
+	if ll, st := routed("least_loaded"), routed("sticky"); ll != 1 || st != 1 {
+		t.Errorf("after an inline and a reference solve: least_loaded %d, sticky %d; want 1 and 1", ll, st)
 	}
 }
 

@@ -8,6 +8,12 @@
 // retaining v in O(d_in(v)), and Add(v) commits it, updating I and C(S) —
 // exactly the Gain/AddNode procedures of the paper, with the Independent
 // variant's O(1)-per-neighbor update W(u,v)*(W(u)-I[u]).
+//
+// The Engine is the test reference, not a production solver: every solve
+// runs on the flat, pooled internal/kernel State, and the kernel's suites
+// hold that state, and every strategy built on it, bit-identical to a
+// literal Algorithm 1 loop over this Engine. Evaluate, EvaluateSet and
+// PerItemCoverage are the from-scratch oracle both are checked against.
 package cover
 
 import (
@@ -40,12 +46,6 @@ func NewEngine(g *graph.Graph, variant graph.Variant) *Engine {
 	}
 }
 
-// Graph returns the underlying graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Variant returns the engine's variant.
-func (e *Engine) Variant() graph.Variant { return e.variant }
-
 // Cover returns C(S) for the current retained set.
 func (e *Engine) Cover() float64 { return e.total }
 
@@ -57,14 +57,6 @@ func (e *Engine) Retained(v int32) bool { return e.retained[v] }
 
 // CoveredWeight returns I[v]: the probability v is requested and matched.
 func (e *Engine) CoveredWeight(v int32) float64 { return e.covered[v] }
-
-// I returns a copy of the I array (paper Section 3.2, "Additional
-// Advantages": I[u]/W(u) is the per-item coverage report).
-func (e *Engine) I() []float64 {
-	out := make([]float64, len(e.covered))
-	copy(out, e.covered)
-	return out
-}
 
 // ItemCoverage returns I[v]/W(v), the probability a request for v is
 // matched; 1 for retained items, and defined as 1 for zero-weight items
@@ -92,16 +84,6 @@ func ClampCoverage(cov float64) float64 {
 		return 0
 	}
 	return cov
-}
-
-// Reset restores S = {}.
-func (e *Engine) Reset() {
-	for i := range e.retained {
-		e.retained[i] = false
-		e.covered[i] = 0
-	}
-	e.total = 0
-	e.size = 0
 }
 
 // Gain returns the marginal gain of adding v to S (Algorithms 2 and 4).

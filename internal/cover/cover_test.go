@@ -286,22 +286,6 @@ func TestAddIdempotent(t *testing.T) {
 	})
 }
 
-func TestReset(t *testing.T) {
-	g := fixture.Figure1Graph()
-	e := NewEngine(g, graph.Independent)
-	e.Add(0)
-	e.Add(3)
-	e.Reset()
-	if e.Cover() != 0 || e.Size() != 0 {
-		t.Fatalf("after reset: cover=%g size=%d", e.Cover(), e.Size())
-	}
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		if e.Retained(v) || e.CoveredWeight(v) != 0 {
-			t.Fatalf("node %d not reset", v)
-		}
-	}
-}
-
 func TestEvaluateSetErrors(t *testing.T) {
 	g := fixture.Figure1Graph()
 	if _, err := EvaluateSet(g, graph.Independent, []int32{99}); err == nil {
@@ -388,28 +372,22 @@ func TestCheckConsistencyDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestEngineAccessors: Size, Retained and CoveredWeight report the state
+// Add built, and the I array sums to C(S).
 func TestEngineAccessors(t *testing.T) {
 	g := fixture.Figure1Graph()
 	e := NewEngine(g, graph.Normalized)
-	if e.Graph() != g {
-		t.Error("Graph() identity")
-	}
-	if e.Variant() != graph.Normalized {
-		t.Error("Variant()")
-	}
 	b, _ := g.Lookup("B")
 	e.Add(b)
-	i := e.I()
+	if e.Size() != 1 || !e.Retained(b) || e.CoveredWeight(b) != g.NodeWeight(b) {
+		t.Errorf("after Add(B): size %d, retained %v, I[B] %g; want 1, true, W(B) %g",
+			e.Size(), e.Retained(b), e.CoveredWeight(b), g.NodeWeight(b))
+	}
 	var sum float64
-	for _, x := range i {
-		sum += x
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		sum += e.CoveredWeight(v)
 	}
 	if math.Abs(sum-e.Cover()) > tol {
 		t.Errorf("sum(I) = %g != C(S) = %g", sum, e.Cover())
-	}
-	// Mutating the copy must not affect the engine.
-	i[0] = 42
-	if e.CoveredWeight(0) == 42 {
-		t.Error("I() aliases engine state")
 	}
 }

@@ -7,8 +7,7 @@
 // The deterministic strategies all produce identical selections:
 //
 //   - sequential scan: each iteration evaluates Gain for every node outside
-//     S and picks the maximum (the literal Algorithm 1, on the reference
-//     cover.Engine);
+//     S and picks the maximum (the literal Algorithm 1, one worker);
 //   - parallel scan: each iteration fills every gain with a striped
 //     goroutine fan-out and takes the argmax — the parallelization described
 //     in the paper's Performance Analysis (complexity O(k + nkD/N) for N
@@ -18,7 +17,10 @@
 //     Gain re-evaluations be skipped without changing the selection.
 //     lazyflat and sketch are aliases of it.
 //
-// Parallel and lazy run on the flat kernel state (internal/kernel).
+// Every strategy, stochastic greedy included, runs on one pooled flat
+// kernel state (internal/kernel) per solve. The reference cover.Engine has
+// no solver of its own: the kernel differential suite holds every strategy
+// to a literal Algorithm 1 loop over it.
 //
 // Determinism: ties are broken toward the smaller node id under every
 // strategy, so runs are reproducible and strategies are interchangeable.
@@ -35,7 +37,6 @@ import (
 	"fmt"
 	"time"
 
-	"prefcover/internal/cover"
 	"prefcover/internal/graph"
 	"prefcover/internal/kernel"
 )
@@ -183,45 +184,31 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 		maxPicks = n
 	}
 	strategy := opts.strategy()
-	// Scan and stochastic run on the reference engine, the Algorithm 1
-	// reference; every other strategy on the flat pooled kernel state. Both
-	// satisfy the engine interface the solve loop drives, and both compute
-	// bit-identical covers.
-	var eng engine
-	var ceng *cover.Engine
-	var kst *kernel.State
-	switch strategy {
-	case StrategyScan, StrategyStochastic:
-		ceng = cover.NewEngine(g, opts.Variant)
-		eng = ceng
-	default:
-		kst = kernel.NewState(g, opts.Variant)
-		defer kst.Release()
-		eng = kst
-	}
+	st := kernel.NewState(g, opts.Variant)
+	defer st.Release()
 	sol := &Solution{
 		Order: make([]int32, 0, maxPicks),
 		Gains: make([]float64, 0, maxPicks),
 	}
 	ctx := opts.Ctx
 	if err := ctxErr(ctx); err != nil {
-		return finalize(sol, eng, n), err
+		return finalize(sol, st), err
 	}
 
 	// Must-stock items come first; pickers are constructed afterwards so
 	// their initial gain snapshots account for what pins already cover.
 	for _, v := range opts.Pinned {
-		gain := eng.Add(v)
+		gain := st.Add(v)
 		sol.Order = append(sol.Order, v)
 		sol.Gains = append(sol.Gains, gain)
 		opts.notify(ProgressEvent{
-			Step: len(sol.Order), Node: v, Gain: gain, Cover: eng.Cover(),
+			Step: len(sol.Order), Node: v, Gain: gain, Cover: st.Cover(),
 			Strategy: StrategyPinned, TotalEvals: sol.GainEvals,
 			// Pins skip the pick, so no remaining-gain bound exists yet.
 			MaxRemainingGain: BoundUnavailable,
 		})
 	}
-	reachedEarly := opts.Threshold > 0 && eng.Cover() >= opts.Threshold-graph.Eps
+	reachedEarly := opts.Threshold > 0 && st.Cover() >= opts.Threshold-graph.Eps
 
 	// Each pick also reports bound: an upper bound on the marginal gain of
 	// any candidate still outside S after this selection (valid by
@@ -233,17 +220,21 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 	var lazyHeapEvals func() int64 // nil unless a lazy variant
 	switch strategy {
 	case StrategyStochastic:
-		sp := newStochasticPicker(ceng, sol, opts.K, opts.StochasticEpsilon, opts.Seed)
+		sp := newStochasticPicker(st, sol, opts.K, opts.StochasticEpsilon, opts.Seed)
 		pick = sp.pick
-	case StrategyScan:
-		pick = func() (int32, float64, float64, bool, error) { return scanPick(ctx, ceng, sol) }
-	case StrategyParallel:
+	case StrategyScan, StrategyParallel:
+		// The scan is the literal Algorithm 1 loop, one worker evaluating
+		// every candidate; the parallel scan stripes the same evaluation.
+		workers := opts.Workers
+		if strategy == StrategyScan {
+			workers = 1
+		}
 		pick = func() (int32, float64, float64, bool, error) {
-			sol.GainEvals += int64(n - kst.Size())
-			return kst.ScanPick(ctx, opts.Workers)
+			sol.GainEvals += int64(n - st.Size())
+			return st.ScanPick(ctx, workers)
 		}
 	default: // StrategyLazy
-		kp := kernel.NewPicker(ctx, kst, opts.Workers)
+		kp := kernel.NewPicker(ctx, st, opts.Workers)
 		// The picker tracks exact-gain evaluations itself (the heap build
 		// may be satisfied from the memoized base heap with zero evals);
 		// sync its cumulative counter into the solution around every pick.
@@ -261,7 +252,7 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 
 	for step := len(sol.Order) + 1; step <= maxPicks && !reachedEarly; step++ {
 		if err := ctxErr(ctx); err != nil {
-			return finalize(sol, eng, n), err
+			return finalize(sol, st), err
 		}
 		evalsBefore := sol.GainEvals
 		var reevalsBefore int64
@@ -278,7 +269,7 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 		if err != nil {
 			// Canceled mid-pick: the in-flight round is discarded, so the
 			// selections made so far are exactly the deterministic prefix.
-			return finalize(sol, eng, n), err
+			return finalize(sol, st), err
 		}
 		if !ok {
 			break // all nodes retained
@@ -287,15 +278,15 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 		if opts.Progress != nil {
 			picked := time.Now()
 			evalTime = picked.Sub(pickStart)
-			eng.Add(v)
+			st.Add(v)
 			commitTime = time.Since(picked)
 		} else {
-			eng.Add(v)
+			st.Add(v)
 		}
 		sol.Order = append(sol.Order, v)
 		sol.Gains = append(sol.Gains, gain)
 		ev := ProgressEvent{
-			Step: step, Node: v, Gain: gain, Cover: eng.Cover(),
+			Step: step, Node: v, Gain: gain, Cover: st.Cover(),
 			Strategy:         strategy,
 			Evaluated:        sol.GainEvals - evalsBefore,
 			TotalEvals:       sol.GainEvals,
@@ -307,14 +298,14 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 			ev.Reevaluated = lazyHeapEvals() - reevalsBefore
 		}
 		opts.notify(ev)
-		if opts.Threshold > 0 && eng.Cover() >= opts.Threshold-graph.Eps {
+		if opts.Threshold > 0 && st.Cover() >= opts.Threshold-graph.Eps {
 			reachedEarly = true
 		}
 	}
 	if opts.Threshold <= 0 || reachedEarly {
 		sol.Reached = true
 	}
-	finalize(sol, eng, n)
+	finalize(sol, st)
 	return sol, nil
 }
 
@@ -328,24 +319,14 @@ func (o *Options) notify(ev ProgressEvent) {
 	}
 }
 
-// engine abstracts the incremental cover state the solve loop drives. Both
-// the reference cover.Engine and the flat kernel.State satisfy it, and both
-// produce bit-identical covers — the kernel differential suite holds them
-// to that.
-type engine interface {
-	Add(v int32) float64
-	Cover() float64
-	ItemCoverage(v int32) float64
-}
-
-// finalize fills the solution fields derivable from engine state so that
+// finalize fills the solution fields derivable from the state so that
 // both complete and cancellation-truncated solutions report Cover and
 // per-item Coverage for the prefix actually selected.
-func finalize(sol *Solution, eng engine, n int) *Solution {
-	sol.Cover = eng.Cover()
-	sol.Coverage = make([]float64, n)
-	for v := int32(0); v < int32(n); v++ {
-		sol.Coverage[v] = eng.ItemCoverage(v)
+func finalize(sol *Solution, st *kernel.State) *Solution {
+	sol.Cover = st.Cover()
+	sol.Coverage = make([]float64, st.Graph().NumNodes())
+	for v := range sol.Coverage {
+		sol.Coverage[v] = st.ItemCoverage(int32(v))
 	}
 	return sol
 }
@@ -361,45 +342,4 @@ func ctxErr(ctx context.Context) error {
 	default:
 		return nil
 	}
-}
-
-// cancelCheckStride bounds how much scan work happens between context
-// polls inside a single pick: one poll per this many candidates keeps the
-// overhead unmeasurable while capping cancellation latency to the cost of
-// a few thousand gain evaluations.
-const cancelCheckStride = 2048
-
-// scanPick is the literal Algorithm 1 inner loop: evaluate every candidate.
-// It tracks the top two gains; the runner-up is the remaining-gain bound —
-// every candidate left outside S has current gain <= second-best, and by
-// submodularity its future gain can only shrink further.
-func scanPick(ctx context.Context, eng *cover.Engine, sol *Solution) (int32, float64, float64, bool, error) {
-	n := int32(eng.Graph().NumNodes())
-	best := int32(-1)
-	bestGain := -1.0
-	secondGain := 0.0 // gains are non-negative, so 0 bounds an empty rest
-	for v := int32(0); v < n; v++ {
-		if v%cancelCheckStride == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return 0, 0, 0, false, err
-			}
-		}
-		if eng.Retained(v) {
-			continue
-		}
-		g := eng.Gain(v)
-		sol.GainEvals++
-		if g > bestGain {
-			if bestGain > secondGain {
-				secondGain = bestGain
-			}
-			best, bestGain = v, g
-		} else if g > secondGain {
-			secondGain = g
-		}
-	}
-	if best < 0 {
-		return 0, 0, 0, false, nil
-	}
-	return best, bestGain, secondGain, true, nil
 }

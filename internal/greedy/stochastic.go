@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 
-	"prefcover/internal/cover"
+	"prefcover/internal/kernel"
 )
 
 // stochasticPicker implements stochastic greedy (Mirzasoleiman et al.,
@@ -19,7 +19,7 @@ import (
 // reproducible only through Options.Seed and generally differ from the
 // deterministic strategies' selection.
 type stochasticPicker struct {
-	eng        *cover.Engine
+	st         *kernel.State
 	sol        *Solution
 	rng        *rand.Rand
 	sampleSize int
@@ -28,8 +28,8 @@ type stochasticPicker struct {
 	pool []int32
 }
 
-func newStochasticPicker(eng *cover.Engine, sol *Solution, k int, epsilon float64, seed int64) *stochasticPicker {
-	n := eng.Graph().NumNodes()
+func newStochasticPicker(st *kernel.State, sol *Solution, k int, epsilon float64, seed int64) *stochasticPicker {
+	n := st.Graph().NumNodes()
 	if k <= 0 || k > n {
 		k = n
 	}
@@ -45,7 +45,7 @@ func newStochasticPicker(eng *cover.Engine, sol *Solution, k int, epsilon float6
 		pool[i] = int32(i)
 	}
 	return &stochasticPicker{
-		eng:        eng,
+		st:         st,
 		sol:        sol,
 		rng:        rand.New(rand.NewSource(seed)),
 		sampleSize: s,
@@ -63,14 +63,14 @@ func (sp *stochasticPicker) pick() (int32, float64, float64, bool, error) {
 		j := i + sp.rng.Intn(len(sp.pool)-i)
 		sp.pool[i], sp.pool[j] = sp.pool[j], sp.pool[i]
 		v := sp.pool[i]
-		if sp.eng.Retained(v) {
+		if sp.st.Retained(v) {
 			// Compact: replace with the last pool entry and retry the
 			// same position.
 			sp.pool[i] = sp.pool[len(sp.pool)-1]
 			sp.pool = sp.pool[:len(sp.pool)-1]
 			continue
 		}
-		g := sp.eng.Gain(v)
+		g := sp.st.Gain(v)
 		sp.sol.GainEvals++
 		sampled++
 		if g > bestGain || (g == bestGain && v < best) {

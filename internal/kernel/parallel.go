@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// cancelCheckStride mirrors the greedy package's poll cadence: one context
-// poll per this many candidates bounds cancellation latency without
-// measurable overhead in the scan loops.
+// cancelCheckStride bounds how much scan work happens between context
+// polls: one poll per this many candidates caps cancellation latency to a
+// few thousand gain evaluations without measurable overhead.
 const cancelCheckStride = 2048
 
 // ctxErr is a non-blocking poll of an optional context.
@@ -98,12 +98,13 @@ func parallelGains(ctx context.Context, st *State, gains []float64, workers int)
 	return nil
 }
 
-// ScanPick is the parallel strategy's pick (the paper's parallelized
-// Algorithm 1): fill every gain with the striped fan-out, then take the
-// argmax and the runner-up in ascending id order. Strictly-greater
-// replacement keeps the smaller id on ties, so the selection matches the
-// sequential scan exactly; the runner-up is the remaining-gain bound. ok is
-// false when every node is already retained.
+// ScanPick is the scan strategies' pick: the literal Algorithm 1 at one
+// worker, the paper's parallelized Algorithm 1 at more. It fills every gain
+// with the striped fan-out, then takes the argmax and the runner-up in
+// ascending id order. Strictly-greater replacement keeps the smaller id on
+// ties, so the selection does not depend on the worker count; the runner-up
+// is the remaining-gain bound. ok is false when every node is already
+// retained.
 func (s *State) ScanPick(ctx context.Context, workers int) (v int32, gain, bound float64, ok bool, err error) {
 	gains := s.buf.scratch
 	if err := parallelGains(ctx, s, gains, workers); err != nil {

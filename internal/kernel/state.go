@@ -1,15 +1,18 @@
-// Package kernel is the data-oriented rewrite of the solver hot path: flat
-// coverage state (a []uint64 retained bitset and cache-aligned I arrays),
-// an allocation-free lazy heap pooled by graph size and seeded from a
-// memoized empty-set heap, and chunk-parallel gain evaluation.
+// Package kernel is the one incremental engine every production solve runs
+// on: flat coverage state (a []uint64 retained bitset and cache-aligned I
+// arrays), an allocation-free lazy heap pooled by graph size and seeded
+// from a memoized empty-set heap, and chunk-parallel gain evaluation. The
+// greedy strategies (scan, parallel, lazy, stochastic), quota.Solve and the
+// budgeted passes all drive a pooled State.
 //
-// Every kernel is numerically bit-identical to cover.Engine: the gain and
-// add loops use textually identical floating-point expressions in the same
-// order, with retained neighbors contributing exactly +0.0 instead of being
-// skipped (retained u has I[u] == W(u) exactly, so the branch-free term is
-// a true zero and IEEE addition of +0.0 leaves every sum unchanged). The
-// differential suite in this package holds that property across strategies,
-// variants, and pinned sets.
+// Every kernel is numerically bit-identical to cover.Engine, the test
+// reference for the paper's Algorithms 2–5: the gain and add loops use
+// textually identical floating-point expressions in the same order, with
+// retained neighbors contributing exactly +0.0 instead of being skipped
+// (retained u has I[u] == W(u) exactly, so the branch-free term is a true
+// zero and IEEE addition of +0.0 leaves every sum unchanged). The
+// differential suite in this package holds every strategy, variant and
+// pinned set to a literal Algorithm 1 loop over cover.Engine.
 package kernel
 
 import (

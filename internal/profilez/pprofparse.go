@@ -1,6 +1,7 @@
 package profilez
 
 import (
+	"bufio"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -39,8 +40,8 @@ func (p *ProfileInfo) HasLabel(key, value string) bool {
 // ReadProfile parses a (possibly gzipped) pprof protobuf profile and
 // returns its sample/label summary.
 func ReadProfile(r io.Reader) (*ProfileInfo, error) {
-	br := newPeekReader(r)
-	if magic, err := br.peek2(); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
+	br := bufio.NewReader(r)
+	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, fmt.Errorf("profilez: gunzip profile: %w", err)
@@ -191,31 +192,4 @@ func readVarint(buf []byte) (uint64, int) {
 		}
 	}
 	return 0, -1
-}
-
-// peekReader lets ReadProfile sniff the gzip magic without losing bytes.
-type peekReader struct {
-	r      io.Reader
-	peeked []byte
-}
-
-func newPeekReader(r io.Reader) *peekReader { return &peekReader{r: r} }
-
-func (p *peekReader) peek2() ([2]byte, error) {
-	var b [2]byte
-	n, err := io.ReadFull(p.r, b[:])
-	p.peeked = b[:n]
-	if err != nil {
-		return b, err
-	}
-	return b, nil
-}
-
-func (p *peekReader) Read(b []byte) (int, error) {
-	if len(p.peeked) > 0 {
-		n := copy(b, p.peeked)
-		p.peeked = p.peeked[n:]
-		return n, nil
-	}
-	return p.r.Read(b)
 }

@@ -17,8 +17,8 @@ import (
 	"errors"
 	"fmt"
 
-	"prefcover/internal/cover"
 	"prefcover/internal/graph"
+	"prefcover/internal/kernel"
 )
 
 // Spec configures Solve.
@@ -99,11 +99,12 @@ func Solve(g *graph.Graph, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := cover.NewEngine(g, spec.Variant)
+	st := kernel.NewState(g, spec.Variant)
+	defer st.Release()
 	res := &Result{GroupCounts: make([]int, numGroups), FloorsSatisfied: true}
 
 	take := func(v int32) {
-		gain := eng.Add(v)
+		gain := st.Add(v)
 		res.Order = append(res.Order, v)
 		res.Gains = append(res.Gains, gain)
 		res.GroupCounts[spec.Group[v]]++
@@ -115,10 +116,10 @@ func Solve(g *graph.Graph, spec Spec) (*Result, error) {
 			for res.GroupCounts[grp] < spec.MinPerGroup[grp] {
 				best, bestGain := int32(-1), -1.0
 				for v := int32(0); v < int32(n); v++ {
-					if eng.Retained(v) || int(spec.Group[v]) != grp {
+					if st.Retained(v) || int(spec.Group[v]) != grp {
 						continue
 					}
-					if gain := eng.Gain(v); gain > bestGain {
+					if gain := st.Gain(v); gain > bestGain {
 						best, bestGain = v, gain
 					}
 				}
@@ -135,14 +136,14 @@ func Solve(g *graph.Graph, spec Spec) (*Result, error) {
 	for len(res.Order) < spec.K {
 		best, bestGain := int32(-1), -1.0
 		for v := int32(0); v < int32(n); v++ {
-			if eng.Retained(v) {
+			if st.Retained(v) {
 				continue
 			}
 			grp := spec.Group[v]
 			if cap := spec.MaxPerGroup[grp]; cap > 0 && res.GroupCounts[grp] >= cap {
 				continue
 			}
-			if gain := eng.Gain(v); gain > bestGain {
+			if gain := st.Gain(v); gain > bestGain {
 				best, bestGain = v, gain
 			}
 		}
@@ -151,7 +152,7 @@ func Solve(g *graph.Graph, spec Spec) (*Result, error) {
 		}
 		take(best)
 	}
-	res.Cover = eng.Cover()
+	res.Cover = st.Cover()
 	return res, nil
 }
 
