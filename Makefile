@@ -7,11 +7,13 @@ FUZZTIME ?= 10s
 CHAOS_SEEDS ?= 1,7,1337
 
 # Packages whose test coverage is floored: the resilience layer, the
-# gateway that routes around failures, and the one solver path (the kernel
-# state every strategy runs on, and greedy's strategies over it). Silent
-# coverage rot here would hollow out the chaos suite's guarantees, the
-# gateway's routing tests and the differential suite's.
-COVER_PKGS := ./internal/retry ./internal/faults ./internal/cluster ./internal/kernel ./internal/greedy
+# gateway that routes around failures, the one solver path (the kernel
+# state every strategy runs on, and greedy's strategies over it), and the
+# one request path in front of it (the node's handlers and the request
+# type with its validator). Silent coverage rot here would hollow out the
+# chaos suite's guarantees, the gateway's routing tests, the differential
+# suite's and the request tests'.
+COVER_PKGS := ./internal/retry ./internal/faults ./internal/cluster ./internal/kernel ./internal/greedy ./internal/server ./internal/jobs
 COVER_FLOOR := 70
 
 # Every fuzz target in the repo, as package:Func pairs. go test allows only
@@ -59,7 +61,7 @@ chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -run '^TestChaos' \
 		./internal/server ./internal/cluster
 
-# cover enforces a coverage floor on the resilience packages and the gateway.
+# cover enforces a coverage floor on the COVER_PKGS packages.
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \
 		pct=$$($(GO) test -cover $$pkg | awk '{for (i=1;i<=NF;i++) if ($$i ~ /%$$/) {sub("%","",$$i); print $$i}}'); \

@@ -81,52 +81,12 @@ func (p *Pipeline) Run(src clickstream.Source) (*PipelineResult, error) {
 // cancellation the error is ctx.Err(); no partial result is returned
 // (unlike prefcover.SolveContext, the adapt stage has no useful prefix).
 func (p *Pipeline) RunContext(ctx context.Context, src clickstream.Source) (*PipelineResult, error) {
-	opts := Options{
-		MinPurchases:   p.MinPurchases,
-		ComputeFitness: p.Variant == nil,
-		Ctx:            ctx,
-	}
-	if p.Variant != nil {
-		opts.Variant = *p.Variant
-	}
-	g, rep, err := BuildGraph(src, opts)
+	g, rep, variant, confident, err := iadapt.Adapt(src, p.Variant, Options{MinPurchases: p.MinPurchases, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	res := &PipelineResult{Graph: g, Report: rep}
-	if p.Variant != nil {
-		res.Variant, res.VariantConfident = *p.Variant, true
-	} else {
-		res.Variant, res.VariantConfident = rep.RecommendVariant()
-		if res.Variant == prefcover.Normalized && opts.Variant != prefcover.Normalized {
-			// The graph was accumulated with whole-click counting; rebuild
-			// with the Normalized fractional counting the recommendation
-			// calls for. Sources backed by a Store can be rewound; other
-			// sources cannot, so surface the requirement.
-			rewinder, ok := src.(interface{ Reset() })
-			if !ok {
-				return nil, &NotRewindableError{}
-			}
-			rewinder.Reset()
-			firstPass := rep
-			g, rep, err = BuildGraph(src, Options{
-				Variant:      prefcover.Normalized,
-				MinPurchases: p.MinPurchases,
-				Ctx:          ctx,
-			})
-			if err != nil {
-				return nil, err
-			}
-			// Keep the fitness statistics from the first pass; the rebuild
-			// skipped computing them.
-			rep.SingleAlternativeShare = firstPass.SingleAlternativeShare
-			rep.MeanPairwiseNMI = firstPass.MeanPairwiseNMI
-			rep.FitnessComputed = firstPass.FitnessComputed
-			res.Graph, res.Report = g, rep
-		}
-	}
-	res.Solution, err = prefcover.SolveContext(ctx, g, prefcover.Options{
-		Variant:   res.Variant,
+	sol, err := prefcover.SolveContext(ctx, g, prefcover.Options{
+		Variant:   variant,
 		K:         p.K,
 		Threshold: p.Threshold,
 		Workers:   p.Workers,
@@ -135,15 +95,10 @@ func (p *Pipeline) RunContext(ctx context.Context, src clickstream.Source) (*Pip
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return &PipelineResult{Graph: g, Report: rep, Variant: variant, VariantConfident: confident, Solution: sol}, nil
 }
 
 // NotRewindableError reports that variant auto-selection needed a second
 // pass over a non-rewindable source; buffer the stream into a
 // clickstream.Store (clickstream.ReadAll) or force a Variant.
-type NotRewindableError struct{}
-
-// Error implements error.
-func (*NotRewindableError) Error() string {
-	return "adapt: variant auto-selection requires a rewindable source (buffer with clickstream.ReadAll or set Pipeline.Variant)"
-}
+type NotRewindableError = iadapt.NotRewindableError

@@ -13,6 +13,7 @@ import (
 	"prefcover"
 	"prefcover/adapt"
 	"prefcover/clickstream"
+	iadapt "prefcover/internal/adapt"
 	"prefcover/internal/greedy"
 	"prefcover/internal/trace"
 )
@@ -96,32 +97,21 @@ func runAdapt(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := adapt.Options{MinPurchases: *minPur, ComputeFitness: *variant == "", Ctx: ctx}
+	var forced *prefcover.Variant
 	if *variant != "" {
 		v, err := prefcover.ParseVariant(*variant)
 		if err != nil {
 			return err
 		}
-		opts.Variant = v
+		forced = &v
 	}
-	g, rep, err := adapt.BuildGraph(store, opts)
+	g, rep, chosen, confident, err := iadapt.Adapt(store, forced, adapt.Options{MinPurchases: *minPur, Ctx: ctx})
 	if err != nil {
 		return err
 	}
-	chosen := opts.Variant
-	if *variant == "" {
-		rec, confident := rep.RecommendVariant()
-		chosen = rec
-		if rec == prefcover.Normalized {
-			// Rebuild with fractional click counting.
-			store.Reset()
-			g, _, err = adapt.BuildGraph(store, adapt.Options{Variant: rec, MinPurchases: *minPur, Ctx: ctx})
-			if err != nil {
-				return err
-			}
-		}
+	if forced == nil {
 		fmt.Fprintf(os.Stderr, "recommended variant: %s (confident=%v, single-alt=%.1f%%, nmi=%.3f)\n",
-			rec, confident, 100*rep.SingleAlternativeShare, rep.MeanPairwiseNMI)
+			chosen, confident, 100*rep.SingleAlternativeShare, rep.MeanPairwiseNMI)
 	}
 	fmt.Fprintf(os.Stderr, "graph: %d items, %d edges (variant %s)\n", g.NumNodes(), g.NumEdges(), chosen)
 	w, closeOut, err := createOut(*out)

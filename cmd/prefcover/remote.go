@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"prefcover/internal/apiclient"
+	"prefcover/internal/jobs"
 	"prefcover/internal/retry"
 	"prefcover/internal/trace"
 )
@@ -303,26 +304,38 @@ func runRemotePush(ctx context.Context, args []string) error {
 	return printJSON(info)
 }
 
-// solveQuery renders the shared solver parameters as a query string.
-func solveQuery(variant string, k int, threshold float64, lazy bool, workers int, pins []string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "?variant=%s", variant)
-	if k > 0 {
-		fmt.Fprintf(&sb, "&k=%d", k)
+// requestFlags registers the solve flags remote solve and remote job
+// share and returns the request they describe (valid after Parse). Flags
+// left at their defaults stay unset in it, so the node applies its own:
+// k and threshold only when positive, -lazy=true and workers <= 1 never
+// (workers=1 would run the lazy heap build on one worker instead of
+// GOMAXPROCS).
+func requestFlags(fs *flag.FlagSet, graphUsage string) func() jobs.Request {
+	var (
+		graphRef  = fs.String("graph", "", graphUsage)
+		variant   = fs.String("variant", "independent", "variant: independent or normalized")
+		k         = fs.Int("k", 0, "retained-set budget (budget mode)")
+		threshold = fs.Float64("threshold", 0, "target cover in (0,1] (minimization mode)")
+		lazy      = fs.Bool("lazy", true, "use lazy (CELF) evaluation")
+		workers   = fs.Int("workers", 1, "parallel scan workers")
+		pins      = fs.String("pins", "", "comma-separated must-stock labels, retained before the greedy fill")
+	)
+	return func() jobs.Request {
+		req := jobs.Request{GraphRef: *graphRef, Variant: *variant, Pins: splitPins(*pins)}
+		if *k > 0 {
+			req.K = *k
+		}
+		if *threshold > 0 {
+			req.Threshold = *threshold
+		}
+		if !*lazy {
+			req.Lazy = lazy
+		}
+		if *workers > 1 {
+			req.Workers = *workers
+		}
+		return req
 	}
-	if threshold > 0 {
-		fmt.Fprintf(&sb, "&threshold=%g", threshold)
-	}
-	if !lazy {
-		sb.WriteString("&lazy=0")
-	}
-	if workers > 1 {
-		fmt.Fprintf(&sb, "&workers=%d", workers)
-	}
-	for _, p := range pins {
-		fmt.Fprintf(&sb, "&pin=%s", p)
-	}
-	return sb.String()
 }
 
 // splitPins turns the comma-separated -pins flag into labels.
@@ -343,26 +356,21 @@ func splitPins(flagVal string) []string {
 func runRemoteSolve(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("remote solve", flag.ExitOnError)
 	var (
-		server    = fs.String("server", "http://localhost:8080", "prefcoverd base URL")
-		graphRef  = fs.String("graph", "", "registered graph name (required)")
-		variant   = fs.String("variant", "independent", "variant: independent or normalized")
-		k         = fs.Int("k", 0, "retained-set budget (budget mode)")
-		threshold = fs.Float64("threshold", 0, "target cover in (0,1] (minimization mode)")
-		lazy      = fs.Bool("lazy", true, "use lazy (CELF) evaluation")
-		workers   = fs.Int("workers", 1, "parallel scan workers")
-		pins      = fs.String("pins", "", "comma-separated must-stock labels, retained before the greedy fill")
-		traceOut  = fs.String("trace", "", "write a merged client+server Chrome trace-event file here")
+		server   = fs.String("server", "http://localhost:8080", "prefcoverd base URL")
+		traceOut = fs.String("trace", "", "write a merged client+server Chrome trace-event file here")
 	)
+	request := requestFlags(fs, "registered graph name (required)")
 	policy := retryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *graphRef == "" {
+	req := request()
+	if req.GraphRef == "" {
 		return fmt.Errorf("remote solve: -graph is required")
 	}
-	body, _ := json.Marshal(map[string]string{"graph_ref": *graphRef})
-	url := strings.TrimRight(*server, "/") + "/v1/solve" +
-		solveQuery(*variant, *k, *threshold, *lazy, *workers, splitPins(*pins))
+	// The graph travels in the body, everything else in the query.
+	body, _ := json.Marshal(map[string]string{"graph_ref": req.GraphRef})
+	url := strings.TrimRight(*server, "/") + "/v1/solve?" + req.Query().Encode()
 	c := newRemoteClient(policy())
 	if *traceOut != "" {
 		c.tr = newClientTrace(*traceOut, "solve", *server)
@@ -382,24 +390,19 @@ func runRemoteSolve(ctx context.Context, args []string) error {
 func runRemoteJob(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("remote job", flag.ExitOnError)
 	var (
-		server    = fs.String("server", "http://localhost:8080", "prefcoverd base URL")
-		graphRef  = fs.String("graph", "", "registered graph name (submits a new job)")
-		variant   = fs.String("variant", "independent", "variant: independent or normalized")
-		k         = fs.Int("k", 0, "retained-set budget (budget mode)")
-		threshold = fs.Float64("threshold", 0, "target cover in (0,1] (minimization mode)")
-		lazy      = fs.Bool("lazy", true, "use lazy (CELF) evaluation")
-		workers   = fs.Int("workers", 1, "parallel scan workers")
-		pins      = fs.String("pins", "", "comma-separated must-stock labels")
-		wait      = fs.Bool("wait", false, "poll the submitted job until it finishes and print the final state")
-		interval  = fs.Duration("interval", 500*time.Millisecond, "polling interval for -wait")
-		status    = fs.String("status", "", "print the state of this job id and exit")
-		cancel    = fs.String("cancel", "", "cancel this job id and exit")
-		traceOut  = fs.String("trace", "", "write a merged client+server Chrome trace-event file here (submission path)")
+		server   = fs.String("server", "http://localhost:8080", "prefcoverd base URL")
+		wait     = fs.Bool("wait", false, "poll the submitted job until it finishes and print the final state")
+		interval = fs.Duration("interval", 500*time.Millisecond, "polling interval for -wait")
+		status   = fs.String("status", "", "print the state of this job id and exit")
+		cancel   = fs.String("cancel", "", "cancel this job id and exit")
+		traceOut = fs.String("trace", "", "write a merged client+server Chrome trace-event file here (submission path)")
 	)
+	request := requestFlags(fs, "registered graph name (submits a new job)")
 	policy := retryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	req := request()
 	base := strings.TrimRight(*server, "/")
 	c := newRemoteClient(policy())
 	switch {
@@ -417,30 +420,14 @@ func runRemoteJob(ctx context.Context, args []string) error {
 			return err
 		}
 		return printJSON(out)
-	case *graphRef == "":
+	case req.GraphRef == "":
 		return fmt.Errorf("remote job: need -graph (submit), -status ID or -cancel ID")
 	}
 	if *traceOut != "" {
 		c.tr = newClientTrace(*traceOut, "job", *server)
 	}
 
-	payload := map[string]any{"graph_ref": *graphRef, "variant": *variant}
-	if *k > 0 {
-		payload["k"] = *k
-	}
-	if *threshold > 0 {
-		payload["threshold"] = *threshold
-	}
-	if !*lazy {
-		payload["lazy"] = false
-	}
-	if *workers > 1 {
-		payload["workers"] = *workers
-	}
-	if ps := splitPins(*pins); len(ps) > 0 {
-		payload["pins"] = ps
-	}
-	body, _ := json.Marshal(payload)
+	body, _ := json.Marshal(req)
 	// One key per logical submission, constant across its retries: the
 	// server deduplicates, so POST /v1/jobs becomes effectively idempotent.
 	var extra http.Header

@@ -49,7 +49,7 @@ func run() int {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		maxBody       = flag.Int64("max-body-mb", 64, "maximum request body size in MiB")
-		maxK          = flag.Int("max-k", 0, "maximum solvable budget (0 = unlimited)")
+		maxK          = flag.Int("max-k", 0, "maximum solvable budget, which also caps threshold solves (0 = unlimited)")
 		solveTimeout  = flag.Duration("solve-timeout", 0, "per-request deadline for /v1/* work; expired requests get 503 (0 = none)")
 		maxConcurrent = flag.Int("max-concurrent", 0, "maximum concurrently executing /v1/* requests; excess get 429 (0 = unlimited)")
 		slowThreshold = flag.Duration("slow-request-threshold", 0, "log one structured warning for every request at least this slow, with request and trace IDs (0 = off)")

@@ -27,6 +27,7 @@ import (
 	"prefcover/internal/clickstream"
 	"prefcover/internal/graph"
 	"prefcover/internal/nmi"
+	"prefcover/internal/trace"
 )
 
 // Options configures BuildGraph.
@@ -200,6 +201,68 @@ func BuildGraph(src clickstream.Source, opts Options) (*graph.Graph, *Report, er
 	return g, rep, nil
 }
 
+// Adapt is the one adaptation flow of paper Figure 2, shared by
+// prefcoverd, the public Pipeline and the CLI. With forced set it builds
+// the graph under that variant. Otherwise it builds with the fitness
+// statistics, recommends a variant by the paper's rules and, when
+// Normalized wins, rewinds src and rebuilds with Normalized's fractional
+// click counting, keeping the first pass's fitness statistics in the
+// report. The rebuild needs a source with a Reset method (a
+// clickstream.Store has one); any other source fails with
+// *NotRewindableError. The returned bool is false when neither rule fired
+// and the Independent default was used. When opts.Ctx carries a trace
+// span, the recommendation and the rebuild record child spans of it.
+func Adapt(src clickstream.Source, forced *graph.Variant, opts Options) (*graph.Graph, *Report, graph.Variant, bool, error) {
+	if forced != nil {
+		opts.Variant, opts.ComputeFitness = *forced, false
+		g, rep, err := BuildGraph(src, opts)
+		return g, rep, *forced, true, err
+	}
+	opts.Variant, opts.ComputeFitness = graph.Independent, true
+	g, rep, err := BuildGraph(src, opts)
+	if err != nil {
+		return nil, nil, 0, false, err
+	}
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	_, span := trace.StartSpan(ctx, "recommend")
+	variant, confident := rep.RecommendVariant()
+	span.SetAttr("variant", variant.String())
+	span.SetAttr("confident", confident)
+	span.End()
+	if variant != graph.Normalized {
+		return g, rep, variant, confident, nil
+	}
+	rewinder, ok := src.(interface{ Reset() })
+	if !ok {
+		return nil, nil, 0, false, &NotRewindableError{}
+	}
+	_, span = trace.StartSpan(ctx, "rebuild")
+	rewinder.Reset()
+	opts.Variant, opts.ComputeFitness = graph.Normalized, false
+	g, rebuilt, err := BuildGraph(src, opts)
+	span.End()
+	if err != nil {
+		return nil, nil, 0, false, err
+	}
+	rebuilt.SingleAlternativeShare = rep.SingleAlternativeShare
+	rebuilt.MeanPairwiseNMI = rep.MeanPairwiseNMI
+	rebuilt.FitnessComputed = rep.FitnessComputed
+	return g, rebuilt, variant, confident, nil
+}
+
+// NotRewindableError reports that variant auto-selection needed a second
+// pass over a non-rewindable source; buffer the stream into a
+// clickstream.Store (clickstream.ReadAll) or force a variant.
+type NotRewindableError struct{}
+
+// Error implements error.
+func (*NotRewindableError) Error() string {
+	return "adapt: variant auto-selection requires a rewindable source (buffer with clickstream.ReadAll or set Pipeline.Variant)"
+}
+
 // ctxCheckSessions is the cancellation poll stride of the drain loop.
 const ctxCheckSessions = 1024
 
@@ -273,8 +336,16 @@ const nmiMinSessions = 20
 // (computed across that item's sessions), then the purchase-weighted mean
 // over items.
 func meanPairwiseNMI(c *itemCounts, totalPurchases float64) float64 {
+	// Items in sorted order: a float sum depends on its order, and map
+	// order would make the report differ in its last bits run to run.
+	items := make([]string, 0, len(c.perItemSessions))
+	for item := range c.perItemSessions {
+		items = append(items, item)
+	}
+	sort.Strings(items)
 	var overall nmi.WeightedMean
-	for item, sessions := range c.perItemSessions {
+	for _, item := range items {
+		sessions := c.perItemSessions[item]
 		if len(sessions) < nmiMinSessions {
 			continue
 		}

@@ -451,11 +451,6 @@ func (g *Gateway) deleteGraph(w http.ResponseWriter, r *http.Request, name strin
 
 // --- /v1/solve ---
 
-// solveRefBody is the part of a solve body the gateway routes on.
-type solveRefBody struct {
-	GraphRef string `json:"graph_ref"`
-}
-
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		g.methodNotAllowed(w, r, http.MethodPost)
@@ -468,11 +463,9 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Reference solves are sticky-routed to the graph's replica set so
 	// repeat solves hit a warm prefix cache; inline solves carry their
 	// graph with them and go wherever load is lowest.
-	var ref solveRefBody
-	_ = json.Unmarshal(body, &ref)
-	if ref.GraphRef != "" {
+	if ref := jobs.GraphRef(body); ref != "" {
 		g.met.routed.With("sticky").Inc()
-		g.forwardAndRelay(w, r, "/v1/solve", ref.GraphRef, body, g.graphCandidates(ref.GraphRef), g.stick(ref.GraphRef))
+		g.forwardAndRelay(w, r, "/v1/solve", ref, body, g.graphCandidates(ref), g.stick(ref))
 		return
 	}
 	g.met.routed.With("least_loaded").Inc()
@@ -511,18 +504,18 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 // submitJob routes an async solve to the referenced graph's replica set
 // (the job's worker solves against the local registry, so the job must
 // land on a node that holds the graph) and records which node accepted
-// it for later status polls.
+// it for later status polls. The node validates the request: one without
+// a graph_ref goes to the least-loaded node, which rejects it.
 func (g *Gateway) submitJob(w http.ResponseWriter, r *http.Request) {
 	body, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
-	req, err := jobs.ParseRequest(body)
-	if err != nil {
-		debugpage.Error(w, http.StatusBadRequest, err)
-		return
+	ref, candidates := jobs.GraphRef(body), g.healthyNodes()
+	if ref != "" {
+		candidates = g.graphCandidates(ref)
 	}
-	g.forwardAndRelay(w, r, "/v1/jobs", req.GraphRef, body, g.graphCandidates(req.GraphRef), func(resp *nodeResponse) {
+	g.forwardAndRelay(w, r, "/v1/jobs", ref, body, candidates, func(resp *nodeResponse) {
 		if resp.status != http.StatusAccepted {
 			return
 		}
@@ -532,7 +525,7 @@ func (g *Gateway) submitJob(w http.ResponseWriter, r *http.Request) {
 		if json.Unmarshal(resp.body, &job) == nil {
 			g.rememberJob(job.ID, resp.node)
 		}
-		g.rememberSticky(req.GraphRef, resp.node)
+		g.rememberSticky(ref, resp.node)
 	})
 }
 

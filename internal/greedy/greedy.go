@@ -140,7 +140,7 @@ func (o *Options) Validate(n int) error {
 	if o.K < 0 {
 		return fmt.Errorf("greedy: negative K %d", o.K)
 	}
-	if o.Threshold < 0 || o.Threshold > 1 {
+	if !(o.Threshold >= 0 && o.Threshold <= 1) { // NaN fails too
 		return fmt.Errorf("greedy: threshold %g outside (0,1]", o.Threshold)
 	}
 	if o.StochasticEpsilon < 0 || o.StochasticEpsilon >= 1 {

@@ -69,6 +69,8 @@ func TestOptionsValidation(t *testing.T) {
 		"negative k":             {Variant: graph.Independent, K: -2},
 		"threshold too big":      {Variant: graph.Independent, Threshold: 1.5},
 		"negative threshold":     {Variant: graph.Independent, Threshold: -0.5, K: 1},
+		"NaN threshold":          {Variant: graph.Independent, Threshold: math.NaN()},
+		"NaN threshold with k":   {Variant: graph.Independent, Threshold: math.NaN(), K: 2},
 	} {
 		if _, err := Solve(g, opts); err == nil {
 			t.Errorf("%s: want error", name)

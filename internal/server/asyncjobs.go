@@ -90,31 +90,14 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req, err := jobs.ParseRequest(body)
-	if err != nil {
+	if err = s.validate(&req, err); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if s.limits.MaxSolveK > 0 && req.K > s.limits.MaxSolveK {
-		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("k %d exceeds server limit %d", req.K, s.limits.MaxSolveK))
-		return
-	}
-	variant, err := req.ParseVariant()
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	strategy, _ := req.ResolvedStrategy() // ParseRequest validated it
-	opts := prefcover.Options{
-		K:         req.K,
-		Threshold: req.Threshold,
-		Workers:   req.Workers,
-		Strategy:  strategy,
-	}
-	// Validate the reference and pins now so a bad submission fails at POST
-	// time, not minutes later inside the queue; the task re-resolves at run
-	// time because the graph can change while the job waits.
-	if _, status, err := s.newRefSolve(req.GraphRef, variant, opts, req.Pins); err != nil {
+	// Resolve the reference and pins now so a bad submission fails at POST
+	// time, not minutes later inside the queue; the task resolves again at
+	// run time because the graph can change while the job waits.
+	if _, status, err := s.resolve(&req, nil); err != nil {
 		s.writeError(w, r, status, err)
 		return
 	}
@@ -127,8 +110,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	// middleware) crosses the queue boundary with the job, so worker-side
 	// solve spans join the same trace as this POST.
 	sc := trace.SpanContextFromContext(r.Context())
-	snap, replayed, err := s.jobs.SubmitIdempotent(idemKey, sc,
-		s.jobTask(sc, time.Now(), req.GraphRef, variant, opts, req.Pins))
+	snap, replayed, err := s.jobs.SubmitIdempotent(idemKey, sc, s.jobTask(sc, time.Now(), req))
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		s.met.rejected.With("/v1/jobs", "queue_full").Inc()
@@ -156,20 +138,20 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, jobJSON(snap))
 }
 
-// jobTask builds the queued work: resolve the reference fresh, solve
-// through the cache with progress streaming, return the same payload the
-// synchronous endpoint would, already encoded. When the submission carried
-// a trace context, the worker opens a "job solve" root span continuing it —
+// jobTask builds the queued work: resolve the request fresh and answer it
+// with progress streaming, keeping the same payload the synchronous
+// endpoint would write, already encoded. When the submission carried a
+// trace context, the worker opens a "job solve" root span continuing it —
 // with a "queued" child covering the time spent waiting for a worker — so
 // solver iteration spans land in the submitter's trace.
-func (s *Server) jobTask(sc trace.SpanContext, submitted time.Time, name string, variant prefcover.Variant, opts prefcover.Options, pinLabels []string) jobs.Task {
+func (s *Server) jobTask(sc trace.SpanContext, submitted time.Time, req jobs.Request) jobs.Task {
 	return func(ctx context.Context, update func(jobs.Progress)) (any, error) {
 		// Worker-side solves profile under the submission endpoint; the job
 		// ID itself arrives via jobs.IDFrom in the solver path.
 		ctx = withEndpoint(ctx, "/v1/jobs")
 		if sc.Valid() && s.tracer != nil {
 			span := s.tracer.RootContext("job solve", sc)
-			span.SetAttr("graph", name)
+			span.SetAttr("graph", req.GraphRef)
 			if id := jobs.IDFrom(ctx); id != "" {
 				span.SetAttr("jobID", id)
 			}
@@ -177,22 +159,17 @@ func (s *Server) jobTask(sc trace.SpanContext, submitted time.Time, name string,
 			defer span.End()
 			ctx = trace.NewContext(ctx, span)
 		}
-		rs, _, err := s.newRefSolve(name, variant, opts, pinLabels)
+		t, _, err := s.resolve(&req, nil)
 		if err != nil {
 			return nil, err
 		}
-		target := rs.opts.K
-		rs.opts.Progress = func(ev prefcover.ProgressEvent) {
+		target := t.opts.K
+		t.opts.Progress = func(ev prefcover.ProgressEvent) {
 			update(jobs.Progress{Step: ev.Step, Target: target, Cover: ev.Cover})
-		}
-		if s.limits.SolveTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.limits.SolveTimeout)
-			defer cancel()
 		}
 		buf := getRespBuf()
 		defer putRespBuf(buf)
-		if *buf, _, err = s.solveRef(ctx, rs, *buf); err != nil {
+		if *buf, _, err = s.answer(ctx, t, *buf); err != nil {
 			return nil, err
 		}
 		// Keep the encoded bytes, not a response holding a float per node;

@@ -41,20 +41,6 @@ func endpointFrom(ctx context.Context) string {
 	return ep
 }
 
-// graphNameKey carries the registry name of the graph being solved —
-// inline bodies have no name and profile as "(inline)".
-type graphNameKey struct{}
-
-func withGraphName(ctx context.Context, name string) context.Context {
-	return context.WithValue(ctx, graphNameKey{}, name)
-}
-
-// graphNameFrom returns the graph name installed by solveRef, or "".
-func graphNameFrom(ctx context.Context) string {
-	name, _ := ctx.Value(graphNameKey{}).(string)
-	return name
-}
-
 // statusRecorder captures the response code and body size for the request
 // counter and the access log.
 type statusRecorder struct {

@@ -27,6 +27,8 @@
 //	                                      -> {order, cover, coverage, gains}
 //	POST /v1/pipeline?k=K[...]            body: JSONL clickstream
 //	                                      -> adapt + recommend + solve
+//	                                      (variant=auto|i|n; the solve
+//	                                      parameters of /v1/solve)
 //	GET  /v1/graphs                       registry listing
 //	PUT  /v1/graphs/{name}                upload a graph (JSON/TSV/binary
 //	                                      by Content-Type); ETag = content
@@ -37,13 +39,17 @@
 //	GET  /v1/jobs[/{id}]                  queue listing / job status
 //	DEL  /v1/jobs/{id}                    cancel or forget a job
 //
-// /v1/solve additionally accepts {"graph_ref": "name"} in place of an
-// inline graph: the solve then runs against the registered graph through
-// the prefix-aware result cache (internal/solvecache) — a warm cache
-// serves any budget up to the cached prefix length, and threshold queries
-// by binary search over the cached cover curve, with zero solver work.
-// Repeated ?pin=LABEL parameters force-retain items ahead of the greedy
-// fill on both the inline and reference paths.
+// One request path serves every solve: /v1/solve and /v1/pipeline parse
+// their query string, and /v1/jobs its JSON body, into one jobs.Request,
+// validated once before the registry, the prefix cache, the job queue or
+// the solver sees it. resolve binds it to its graph (named by a
+// {"graph_ref": "name"} body or a job, carried inline, or adapted by the
+// pipeline), looks up the repeated ?pin=LABEL items, which are retained
+// ahead of the greedy fill, and applies -max-k. answer solves it under one
+// deadline; a registered graph goes through the prefix-aware result cache
+// (internal/solvecache), which serves any budget up to the cached prefix
+// length, and threshold queries by binary search over the cached cover
+// curve, with zero solver work.
 //
 // Observability and robustness: every endpoint is instrumented (request
 // counts by status, latency histograms, an in-flight gauge, solver work
@@ -77,17 +83,17 @@ import (
 	"math"
 	"net/http"
 	netpprof "net/http/pprof"
-	"strconv"
+	"net/url"
 	"sync/atomic"
 	"time"
 
 	"prefcover"
 	"prefcover/adapt"
 	"prefcover/clickstream"
+	iadapt "prefcover/internal/adapt"
 	"prefcover/internal/apiclient"
 	"prefcover/internal/debugpage"
 	"prefcover/internal/faults"
-	"prefcover/internal/greedy"
 	"prefcover/internal/jobs"
 	"prefcover/internal/metrics"
 	"prefcover/internal/profilez"
@@ -103,7 +109,8 @@ import (
 type Limits struct {
 	// MaxBodyBytes caps request bodies (default 64 MiB).
 	MaxBodyBytes int64
-	// MaxSolveK caps the solvable budget (default: unlimited).
+	// MaxSolveK caps the solvable budget (default: unlimited). A
+	// threshold solve without k runs with k = MaxSolveK.
 	MaxSolveK int
 	// SolveTimeout bounds each /v1/* request end to end — clickstream
 	// parse, adaptation and solve all poll the deadline. On expiry the
@@ -502,13 +509,15 @@ func errCapacity(maxConcurrent int) error {
 	return fmt.Errorf("server at capacity (%d concurrent requests)", maxConcurrent)
 }
 
-// requestCtx derives the per-request work context: the client connection
-// context (so disconnects cancel the solve) bounded by SolveTimeout.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
+// requestCtx derives the one work deadline: ctx — the client connection
+// context, so disconnects cancel the work, or a job's — bounded by
+// SolveTimeout. A ctx that already has an earlier deadline keeps it, so a
+// pipeline's adaptation and solve share one.
+func (s *Server) requestCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.limits.SolveTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.limits.SolveTimeout)
+		return context.WithTimeout(ctx, s.limits.SolveTimeout)
 	}
-	return r.Context(), func() {}
+	return ctx, func() {}
 }
 
 // writeWorkError maps a pipeline/solve failure to a status: deadline and
@@ -535,9 +544,11 @@ func (s *Server) writeWorkError(w http.ResponseWriter, r *http.Request, endpoint
 // so CPU samples are attributable per workload, per-solve resource usage
 // (CPU, allocations, GC pause) is measured around the run, and the
 // iteration stream's MaxRemainingGain bounds are folded into the
-// approximation-gap certificate. The returned Usage is nil only when the
-// solver never ran.
-func (s *Server) solve(ctx context.Context, g *prefcover.Graph, opts prefcover.Options) (*prefcover.Solution, *profilez.Usage, error) {
+// approximation-gap certificate. name is the graph's label in profiles
+// and accounting: its registry name, or "inline" for a graph the request
+// carried, so every CPU sample is attributable by graph. The returned
+// Usage is nil only when the solver never ran.
+func (s *Server) solve(ctx context.Context, name string, g *prefcover.Graph, opts prefcover.Options) (*prefcover.Solution, *profilez.Usage, error) {
 	strategy := opts.StrategyName()
 	_, span := trace.StartSpan(ctx, "solve")
 	span.SetAttr("strategy", strategy)
@@ -572,14 +583,8 @@ func (s *Server) solve(ctx context.Context, g *prefcover.Graph, opts prefcover.O
 		}
 	}
 
-	// Inline bodies have no registry name; label them "inline" so every
-	// CPU sample is attributable by graph, not just registered traffic.
-	graphName := graphNameFrom(ctx)
-	if graphName == "" {
-		graphName = "inline"
-	}
 	labels := profilez.SolveLabels{
-		Graph:    graphName,
+		Graph:    name,
 		Strategy: strategy,
 		Endpoint: endpointFrom(ctx),
 		K:        opts.K,
@@ -633,12 +638,17 @@ func (s *Server) solve(ctx context.Context, g *prefcover.Graph, opts prefcover.O
 
 // writeError logs a failure and answers it with the JSON error envelope,
 // whose requestId lets a client quote the exact server-side log lines. A
-// body cut off at MaxBodyBytes is 413 whatever status the handler chose,
-// so every handler that reads a bounded body reports it the same way.
+// body cut off at MaxBodyBytes is 413 and a graph body in a media type no
+// codec reads is 415, whatever status the handler chose, so every handler
+// that reads a body reports them the same way.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	var media *errUnsupportedMedia
+	switch {
+	case errors.As(err, &tooLarge):
 		status = http.StatusRequestEntityTooLarge
+	case errors.As(err, &media):
+		status = http.StatusUnsupportedMediaType
 	}
 	reqID := requestIDFrom(r.Context())
 	if s.logger != nil {
@@ -696,10 +706,6 @@ type adaptResponse struct {
 	Graph            json.RawMessage `json:"graph"`
 }
 
-func (s *Server) requirePost(w http.ResponseWriter, r *http.Request) bool {
-	return s.allowMethods(w, r, http.MethodPost)
-}
-
 // readSessions buffers the request clickstream (the trace's "parse"
 // phase).
 func (s *Server) readSessions(r *http.Request) (*clickstream.Store, error) {
@@ -716,55 +722,44 @@ func (s *Server) readSessions(r *http.Request) (*clickstream.Store, error) {
 	return store, nil
 }
 
-// adaptStore runs the adaptation with optional variant auto-selection
-// (the trace's "adapt" phase, with "recommend" and "rebuild" sub-spans on
-// the auto path).
-func adaptStore(ctx context.Context, store *clickstream.Store, variantParam string) (*prefcover.Graph, *adapt.Report, prefcover.Variant, bool, error) {
+// adaptStore runs the shared adaptation flow (internal/adapt.Adapt) as
+// the trace's "adapt" phase, with "recommend" and "rebuild" sub-spans on
+// the auto path, and returns the graph with its /v1/adapt payload. A nil
+// forced lets the adaptation recommend the variant.
+func adaptStore(ctx context.Context, store *clickstream.Store, forced *prefcover.Variant) (*prefcover.Graph, adaptResponse, error) {
 	ctx, span := trace.StartSpan(ctx, "adapt")
-	defer span.End()
-	if variantParam == "" || variantParam == "auto" {
-		g, rep, err := adapt.BuildGraph(store, adapt.Options{ComputeFitness: true, Ctx: ctx})
-		if err != nil {
-			return nil, nil, 0, false, err
-		}
-		rsp := span.Child("recommend")
-		variant, confident := rep.RecommendVariant()
-		rsp.SetAttr("variant", variant.String())
-		rsp.SetAttr("confident", confident)
-		rsp.End()
-		if variant == prefcover.Normalized {
-			rebuild := span.Child("rebuild")
-			store.Reset()
-			g2, rep2, err := adapt.BuildGraph(store, adapt.Options{Variant: variant, Ctx: ctx})
-			rebuild.End()
-			if err != nil {
-				return nil, nil, 0, false, err
-			}
-			rep2.SingleAlternativeShare = rep.SingleAlternativeShare
-			rep2.MeanPairwiseNMI = rep.MeanPairwiseNMI
-			rep2.FitnessComputed = true
-			span.SetAttr("nodes", g2.NumNodes())
-			span.SetAttr("edges", g2.NumEdges())
-			return g2, rep2, variant, confident, nil
-		}
-		span.SetAttr("nodes", g.NumNodes())
-		span.SetAttr("edges", g.NumEdges())
-		return g, rep, variant, confident, nil
-	}
-	variant, err := prefcover.ParseVariant(variantParam)
-	if err != nil {
-		return nil, nil, 0, false, err
-	}
-	g, rep, err := adapt.BuildGraph(store, adapt.Options{Variant: variant, Ctx: ctx})
+	g, rep, variant, confident, err := iadapt.Adapt(store, forced, iadapt.Options{Ctx: ctx})
 	if g != nil {
 		span.SetAttr("nodes", g.NumNodes())
 		span.SetAttr("edges", g.NumEdges())
 	}
-	return g, rep, variant, true, err
+	span.End()
+	if err != nil {
+		return nil, adaptResponse{}, err
+	}
+	var buf bytes.Buffer
+	err = prefcover.WriteGraphJSON(&buf, g)
+	return g, adaptResponse{
+		Variant:          variant.String(),
+		VariantConfident: confident,
+		Report:           rep,
+		Graph:            bytes.TrimSpace(buf.Bytes()),
+	}, err
+}
+
+// adaptVariant reads the variant parameter of /v1/adapt and /v1/pipeline:
+// absent or auto lets the adaptation recommend one, and returns nil.
+func adaptVariant(q url.Values) (*prefcover.Variant, error) {
+	v := q.Get("variant")
+	if v == "" || v == "auto" {
+		return nil, nil
+	}
+	variant, err := prefcover.ParseVariant(v)
+	return &variant, err
 }
 
 func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
-	if !s.requirePost(w, r) {
+	if !s.allowMethods(w, r, http.MethodPost) {
 		return
 	}
 	store, err := s.readSessions(r)
@@ -772,24 +767,19 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
+	forced, err := adaptVariant(r.URL.Query())
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel := s.requestCtx(r.Context())
 	defer cancel()
-	g, rep, variant, confident, err := adaptStore(ctx, store, r.URL.Query().Get("variant"))
+	_, resp, err := adaptStore(ctx, store, forced)
 	if err != nil {
 		s.writeWorkError(w, r, "/v1/adapt", err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := prefcover.WriteGraphJSON(&buf, g); err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, adaptResponse{
-		Variant:          variant.String(),
-		VariantConfident: confident,
-		Report:           rep,
-		Graph:            json.RawMessage(bytes.TrimSpace(buf.Bytes())),
-	})
+	writeJSON(w, resp)
 }
 
 // solveResponse is the /v1/solve and /v1/pipeline solver payload.
@@ -805,65 +795,6 @@ type solveResponse struct {
 	// actually ran for this response; absent on cache hits, which cost no
 	// solver work by construction.
 	Resources *profilez.Usage `json:"resources,omitempty"`
-}
-
-// solveParams parses solver query parameters shared by /v1/solve and
-// /v1/pipeline.
-func (s *Server) solveParams(r *http.Request) (prefcover.Options, error) {
-	q := r.URL.Query()
-	var opts prefcover.Options
-	if v := q.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return opts, fmt.Errorf("bad workers %q", v)
-		}
-		opts.Workers = n
-	}
-	// lazy= is the legacy alias: lazy=0 asks for the scan (parallel with
-	// workers > 1); an explicit strategy= wins over it.
-	lazy := q.Get("lazy") != "0" && q.Get("lazy") != "false"
-	strat, err := greedy.ResolveStrategy(q.Get("strategy"), lazy, opts.Workers)
-	if err != nil {
-		return opts, fmt.Errorf("bad strategy %q", q.Get("strategy"))
-	}
-	opts.Strategy = strat
-	if v := q.Get("k"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil || k < 0 {
-			return opts, fmt.Errorf("bad k %q", v)
-		}
-		if s.limits.MaxSolveK > 0 && k > s.limits.MaxSolveK {
-			return opts, fmt.Errorf("k %d exceeds server limit %d", k, s.limits.MaxSolveK)
-		}
-		opts.K = k
-	}
-	if v := q.Get("threshold"); v != "" {
-		t, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return opts, fmt.Errorf("bad threshold %q", v)
-		}
-		opts.Threshold = t
-	}
-	if opts.K == 0 && opts.Threshold == 0 {
-		return opts, fmt.Errorf("need k or threshold")
-	}
-	return opts, nil
-}
-
-func solutionPayload(g *prefcover.Graph, variant prefcover.Variant, sol *prefcover.Solution) solveResponse {
-	order := make([]string, len(sol.Order))
-	for i, v := range sol.Order {
-		order[i] = g.Label(v)
-	}
-	return solveResponse{
-		Variant:  variant.String(),
-		K:        len(sol.Order),
-		Cover:    sol.Cover,
-		Reached:  sol.Reached,
-		Order:    order,
-		Gains:    sol.Gains,
-		Coverage: sol.Coverage,
-	}
 }
 
 // readGraphBody parses the request graph (the trace's "parse" phase) in
@@ -885,34 +816,15 @@ func readGraphBody(r *http.Request) (*prefcover.Graph, error) {
 	return g, nil
 }
 
-// writeGraphBodyError maps graph-parse failures to their status: an
-// unrecognized media type is 415, everything else a plain 400.
-func (s *Server) writeGraphBodyError(w http.ResponseWriter, r *http.Request, err error) {
-	var um *errUnsupportedMedia
-	if errors.As(err, &um) {
-		s.writeError(w, r, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	s.writeError(w, r, http.StatusBadRequest, err)
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if !s.requirePost(w, r) {
+	if !s.allowMethods(w, r, http.MethodPost) {
 		return
 	}
-	variant, err := prefcover.ParseVariant(r.URL.Query().Get("variant"))
-	if err != nil {
+	req, err := jobs.ParseQuery(r.URL.Query())
+	if err = s.validate(&req, err); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := s.solveParams(r)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	opts.Variant = variant
-	pinLabels := r.URL.Query()["pin"]
-
 	// A JSON body may be a reference ({"graph_ref": "name"}) instead of an
 	// inline graph; binary and TSV bodies are always inline.
 	format, err := graphFormatFromContentType(r.Header.Get("Content-Type"))
@@ -926,49 +838,43 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		var probe struct {
-			GraphRef string `json:"graph_ref"`
-		}
-		// An inline graph document ({"nodes": ..., "edges": ...}) decodes
-		// into the probe with an empty ref, so this cannot misfire.
-		if json.Unmarshal(body, &probe) == nil && probe.GraphRef != "" {
-			s.solveByRef(w, r, probe.GraphRef, variant, opts, pinLabels)
-			return
-		}
+		req.GraphRef = jobs.GraphRef(body)
 		r.Body = io.NopCloser(bytes.NewReader(body))
 	}
-	g, err := readGraphBody(r)
+	var g *prefcover.Graph
+	if req.GraphRef == "" {
+		if g, err = readGraphBody(r); err != nil {
+			s.writeError(w, r, http.StatusBadRequest, err)
+			return
+		}
+	}
+	t, status, err := s.resolve(&req, g)
 	if err != nil {
-		s.writeGraphBodyError(w, r, err)
+		s.writeError(w, r, status, err)
 		return
 	}
-	pinned, err := prefcover.LookupAll(g, pinLabels)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	opts.Pinned = pinned
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	sol, usage, err := s.solve(ctx, g, opts)
-	if err != nil {
+	buf := getRespBuf()
+	defer putRespBuf(buf)
+	var cstat solvecache.Status
+	if *buf, cstat, err = s.answer(r.Context(), t, *buf); err != nil {
 		s.writeWorkError(w, r, "/v1/solve", err)
 		return
 	}
-	resp := solutionPayload(g, variant, sol)
-	resp.Resources = usage
-	s.writeSolve(w, r, &resp)
+	if t.entry != nil {
+		w.Header().Set("X-Prefcover-Cache", cstat.String())
+	}
+	writeRawJSON(w, *buf)
 }
 
 // handleStats summarizes an uploaded graph (Table 2-style columns plus
 // degree structure) without solving anything.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !s.requirePost(w, r) {
+	if !s.allowMethods(w, r, http.MethodPost) {
 		return
 	}
 	g, err := readGraphBody(r)
 	if err != nil {
-		s.writeGraphBodyError(w, r, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, prefcover.ComputeStats(g))
@@ -981,12 +887,24 @@ type pipelineResponse struct {
 	Solve json.RawMessage `json:"solve"`
 }
 
+// handlePipeline adapts the clickstream body and answers the request on
+// the adapted graph. The adaptation may recommend the variant, so until
+// then the request is validated under a stand-in one.
 func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
-	if !s.requirePost(w, r) {
+	if !s.allowMethods(w, r, http.MethodPost) {
 		return
 	}
-	opts, err := s.solveParams(r)
+	q := r.URL.Query()
+	forced, err := adaptVariant(q)
 	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	if forced == nil {
+		q.Set("variant", prefcover.Independent.String())
+	}
+	req, err := jobs.ParseQuery(q)
+	if err = s.validate(&req, err); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
@@ -995,38 +913,24 @@ func (s *Server) handlePipeline(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
+	ctx, cancel := s.requestCtx(r.Context())
 	defer cancel()
-	g, rep, variant, confident, err := adaptStore(ctx, store, r.URL.Query().Get("variant"))
+	g, adapted, err := adaptStore(ctx, store, forced)
 	if err != nil {
 		s.writeWorkError(w, r, "/v1/pipeline", err)
 		return
 	}
-	opts.Variant = variant
-	sol, usage, err := s.solve(ctx, g, opts)
+	req.Variant = adapted.Variant
+	t, status, err := s.resolve(&req, g)
 	if err != nil {
+		s.writeError(w, r, status, err)
+		return
+	}
+	buf := getRespBuf()
+	defer putRespBuf(buf)
+	if *buf, _, err = s.answer(ctx, t, *buf); err != nil {
 		s.writeWorkError(w, r, "/v1/pipeline", err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := prefcover.WriteGraphJSON(&buf, g); err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	solveResp := solutionPayload(g, variant, sol)
-	solveResp.Resources = usage
-	solveJSON, err := appendSolveResponse(nil, &solveResp)
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, pipelineResponse{
-		Adapt: adaptResponse{
-			Variant:          variant.String(),
-			VariantConfident: confident,
-			Report:           rep,
-			Graph:            json.RawMessage(bytes.TrimSpace(buf.Bytes())),
-		},
-		Solve: solveJSON,
-	})
+	writeJSON(w, pipelineResponse{Adapt: adapted, Solve: *buf})
 }

@@ -696,7 +696,12 @@ func TestJobResultBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := solutionPayload(g, prefcover.Independent, sol)
+		order := make([]string, len(sol.Order))
+		for i, v := range sol.Order {
+			order[i] = g.Label(v)
+		}
+		want := solveResponse{Variant: "independent", K: len(sol.Order), Cover: sol.Cover, Reached: sol.Reached,
+			Order: order, Gains: sol.Gains, Coverage: sol.Coverage}
 		// Resource figures are measured, so take them from the job itself.
 		var ran struct {
 			Resources *profilez.Usage `json:"resources"`
@@ -822,13 +827,13 @@ func TestDeleteDuringSolveNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, _, err := s.newRefSolve("demo", prefcover.Independent,
-		prefcover.Options{K: 10}, nil)
+	req := jobs.Request{GraphRef: "demo", Variant: "independent", K: 10}
+	task, _, err := s.resolve(&req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deleted := false
-	rs.opts.Progress = func(ev prefcover.ProgressEvent) {
+	task.opts.Progress = func(ev prefcover.ProgressEvent) {
 		if !deleted && ev.Step == 2 {
 			deleted = true
 			if !s.store.Delete("demo") {
@@ -836,7 +841,7 @@ func TestDeleteDuringSolveNotCached(t *testing.T) {
 			}
 		}
 	}
-	data, status, err := s.solveRef(context.Background(), rs, nil)
+	data, status, err := s.answer(context.Background(), task, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -859,12 +864,11 @@ func TestDeleteDuringSolveNotCached(t *testing.T) {
 	if _, _, err := s.store.Put("demo", g); err != nil {
 		t.Fatal(err)
 	}
-	rs2, _, err := s.newRefSolve("demo", prefcover.Independent,
-		prefcover.Options{K: 10}, nil)
+	task2, _, err := s.resolve(&req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, status, err = s.solveRef(context.Background(), rs2, nil); err != nil || status != solvecache.StatusMiss {
+	if _, status, err = s.answer(context.Background(), task2, nil); err != nil || status != solvecache.StatusMiss {
 		t.Fatalf("re-solve status = %v err = %v, want fresh miss", status, err)
 	}
 }

@@ -31,19 +31,6 @@ func putRespBuf(buf *[]byte) {
 	}
 }
 
-// writeSolve writes resp as the JSON reply. A value JSON cannot carry (a
-// non-finite float) becomes the 500 envelope instead of invalid JSON.
-func (s *Server) writeSolve(w http.ResponseWriter, r *http.Request, resp *solveResponse) {
-	buf := getRespBuf()
-	defer putRespBuf(buf)
-	var err error
-	if *buf, err = appendSolveResponse(*buf, resp); err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	writeRawJSON(w, *buf)
-}
-
 // writeRawJSON writes an already encoded JSON reply.
 func writeRawJSON(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")

@@ -110,29 +110,23 @@ func FuzzSolveResponseJSON(f *testing.F) {
 }
 
 // TestWriteSolveNonFinite checks that a response JSON cannot carry becomes
-// the 500 error envelope rather than an empty or invalid 200 body, both
-// from writeSolve and from the reference path's error mapping.
+// the 500 error envelope rather than an empty or invalid 200 body: answer
+// returns the encoder's error, and every solve endpoint maps it through
+// writeWorkError.
 func TestWriteSolveNonFinite(t *testing.T) {
 	s := New(Limits{}, nil)
 	defer s.Close()
 	req := httptest.NewRequest(http.MethodPost, "/v1/solve", nil)
-	_, encErr := appendSolveResponse(nil, &solveResponse{Coverage: []float64{0.5, math.NaN()}})
-	for name, write := range map[string]func(http.ResponseWriter){
-		"writeSolve": func(w http.ResponseWriter) {
-			s.writeSolve(w, req, &solveResponse{Variant: "independent", Coverage: []float64{0.5, math.NaN()}})
-		},
-		"writeWorkError": func(w http.ResponseWriter) { s.writeWorkError(w, req, "/v1/solve", encErr) },
-	} {
-		rec := httptest.NewRecorder()
-		write(rec)
-		if rec.Code != http.StatusInternalServerError {
-			t.Fatalf("%s: status = %d, want 500", name, rec.Code)
-		}
-		var env struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error != "json: unsupported value: NaN" {
-			t.Fatalf("%s: body = %q (%v)", name, rec.Body.Bytes(), err)
-		}
+	_, encErr := appendSolveResponse(nil, &solveResponse{Variant: "independent", Coverage: []float64{0.5, math.NaN()}})
+	rec := httptest.NewRecorder()
+	s.writeWorkError(rec, req, "/v1/solve", encErr)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var env struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error != "json: unsupported value: NaN" {
+		t.Fatalf("body = %q (%v)", rec.Body.Bytes(), err)
 	}
 }

@@ -109,10 +109,11 @@ func (r *Registry) loadDir() error {
 		r.bytes += e.Bytes
 		r.touch(name)
 		evicted := r.evictLocked(name)
+		orphans := r.orphansLocked(evicted...)
 		r.mu.Unlock()
 		// Over-bound directories trim down to the configured budget; the
 		// evicted snapshots are deleted so the trim sticks across restarts.
-		r.dropEvicted(evicted)
+		r.drop(evicted, orphans)
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -73,10 +74,11 @@ type Options struct {
 	Dir string
 	// Logger receives load-skip and persistence warnings; nil discards.
 	Logger *slog.Logger
-	// OnInvalidate, when non-nil, fires whenever a content hash stops
-	// being current for a name — on Delete, on eviction, and on Put over
-	// an existing name with different content. The solve cache hangs its
-	// invalidation here.
+	// OnInvalidate, when non-nil, fires whenever a name drops content that
+	// no remaining name holds — on Delete, on eviction, and on Put over an
+	// existing name with different content. Two names with identical
+	// content share one hash, so dropping one of them fires nothing. The
+	// solve cache hangs its invalidation here.
 	OnInvalidate func(name, hash string)
 	// Faults, when non-nil, injects failures into the disk persistence
 	// path (prefcoverd -fault-spec-disk): snapshot writes can error or
@@ -206,12 +208,14 @@ func (r *Registry) Put(name string, g *graph.Graph) (*Entry, bool, error) {
 	r.bytes += size
 	r.touch(name)
 	evicted := r.evictLocked(name)
+	var orphans []*Entry
+	if replaced {
+		orphans = r.orphansLocked(prev)
+	}
+	orphans = append(orphans, r.orphansLocked(evicted...)...)
 	r.mu.Unlock()
 
-	if replaced && prev.Hash != hash {
-		r.invalidate(name, prev.Hash)
-	}
-	r.dropEvicted(evicted)
+	r.drop(evicted, orphans)
 	return e, replaced, nil
 }
 
@@ -230,18 +234,36 @@ func (r *Registry) Get(name string) (*Entry, bool) {
 func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
 	e, ok := r.entries[name]
+	var orphans []*Entry
 	if ok {
 		delete(r.entries, name)
 		delete(r.lastUse, name)
 		r.bytes -= e.Bytes
+		orphans = r.orphansLocked(e)
 	}
 	r.mu.Unlock()
 	if !ok {
 		return false
 	}
-	r.removeFile(name)
-	r.invalidate(name, e.Hash)
+	r.drop([]*Entry{e}, orphans)
 	return true
+}
+
+// Holds reports whether some registered name holds content with this
+// hash.
+func (r *Registry) Holds(hash string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.holdsLocked(hash)
+}
+
+func (r *Registry) holdsLocked(hash string) bool {
+	for _, e := range r.entries {
+		if e.Hash == hash {
+			return true
+		}
+	}
+	return false
 }
 
 // RecordSolve counts one solver run against name (per-graph statistics on
@@ -336,18 +358,23 @@ func (r *Registry) evictLocked(keep string) []*Entry {
 	return out
 }
 
-// dropEvicted finishes evictions outside the lock: it unlinks each
-// snapshot and fires invalidation.
-func (r *Registry) dropEvicted(evicted []*Entry) {
-	for _, v := range evicted {
-		r.removeFile(v.Name)
-		r.invalidate(v.Name, v.Hash)
-	}
+// orphansLocked returns the dropped entries whose content no remaining
+// entry holds. Callers hold r.mu and have already removed dropped.
+func (r *Registry) orphansLocked(dropped ...*Entry) []*Entry {
+	return slices.DeleteFunc(slices.Clone(dropped), func(d *Entry) bool { return r.holdsLocked(d.Hash) })
 }
 
-func (r *Registry) invalidate(name, hash string) {
-	if r.opts.OnInvalidate != nil {
-		r.opts.OnInvalidate(name, hash)
+// drop finishes removals outside the lock: it unlinks each removed
+// entry's snapshot and fires OnInvalidate for each orphan.
+func (r *Registry) drop(removed, orphans []*Entry) {
+	for _, v := range removed {
+		r.removeFile(v.Name)
+	}
+	if r.opts.OnInvalidate == nil {
+		return
+	}
+	for _, o := range orphans {
+		r.opts.OnInvalidate(o.Name, o.Hash)
 	}
 }
 

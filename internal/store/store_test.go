@@ -104,6 +104,33 @@ func TestReplaceFiresInvalidation(t *testing.T) {
 	}
 }
 
+// TestSharedContentInvalidatesWhenOrphaned: two names with identical
+// content share one hash, so dropping either one alone must not
+// invalidate the other's cached solves; the hook fires once the last
+// name holding the content drops it, by delete, replace or eviction.
+func TestSharedContentInvalidatesWhenOrphaned(t *testing.T) {
+	var events []string
+	r, err := New(Options{MaxGraphs: 2, OnInvalidate: func(name, hash string) {
+		events = append(events, name+":"+hash[:8])
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, _, _ := r.Put("a", testGraph(t, 1, 20))
+	r.Put("b", testGraph(t, 1, 20))
+	r.Delete("a")
+	r.Put("a", testGraph(t, 1, 20))
+	r.Put("a", testGraph(t, 2, 20)) // replace: b still holds the content
+	if len(events) != 0 || !r.Holds(shared.Hash) {
+		t.Fatalf("invalidated %v while b holds the content (held=%v)", events, r.Holds(shared.Hash))
+	}
+	r.Get("a")
+	r.Put("c", testGraph(t, 3, 20)) // evicts b, the last holder
+	if len(events) != 1 || events[0] != "b:"+shared.Hash[:8] || r.Holds(shared.Hash) {
+		t.Fatalf("events after evicting the last holder = %v", events)
+	}
+}
+
 func TestLRUEvictionByCount(t *testing.T) {
 	var evicted []string
 	r, err := New(Options{MaxGraphs: 2, OnInvalidate: func(name, _ string) {
@@ -146,8 +173,10 @@ func TestLRUEvictionByBytes(t *testing.T) {
 		t.Fatalf("premature eviction: %v", evicted)
 	}
 	r.Put("c", testGraph(t, 1, 40))
-	if len(evicted) != 1 || evicted[0] != "a" {
-		t.Fatalf("evicted = %v, want [a]", evicted)
+	// All three names hold the same content, so evicting a orphans none of
+	// it: the entry goes and the hook stays silent.
+	if _, ok := r.Get("a"); ok || r.Len() != 2 || len(evicted) != 0 {
+		t.Fatalf("a still registered = %v, %d entries, invalidated %v; want a evicted and nothing invalidated", ok, r.Len(), evicted)
 	}
 	if got := r.TotalBytes(); got > 2*size+size/2 {
 		t.Errorf("TotalBytes = %d exceeds budget", got)
