@@ -25,8 +25,8 @@ type clusterState struct {
 
 func (g *Gateway) currentState() clusterState {
 	g.mu.Lock()
-	sticky := len(g.sticky)
-	jobs := len(g.jobOwner)
+	sticky := g.sticky.Len()
+	jobs := g.jobOwner.Len()
 	g.mu.Unlock()
 	return clusterState{
 		Replicas:   g.opts.Replicas,
@@ -116,7 +116,7 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 		// Joining shifts ~1/N of placements onto the new node; cached
 		// routes for moved graphs would dodge it forever, so reset them.
 		g.mu.Lock()
-		g.sticky = make(map[string]string)
+		g.sticky.Each(func(k, _ string) bool { g.sticky.Remove(k); return true })
 		g.mu.Unlock()
 		g.probeNode(node)
 	default:
@@ -137,12 +137,13 @@ func (g *Gateway) handleClusterAction(w http.ResponseWriter, r *http.Request) {
 // for jobs it accepted.
 func (g *Gateway) dropStickyTo(node string) {
 	g.mu.Lock()
-	for k, n := range g.sticky {
+	defer g.mu.Unlock()
+	g.sticky.Each(func(k, n string) bool {
 		if n == node {
-			delete(g.sticky, k)
+			g.sticky.Remove(k)
 		}
-	}
-	g.mu.Unlock()
+		return true
+	})
 }
 
 // handleTraces dumps the gateway's flight recorder with the node's

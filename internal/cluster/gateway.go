@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"prefcover/internal/apiclient"
+	"prefcover/internal/lru"
 	"prefcover/internal/metrics"
 	"prefcover/internal/slo"
 	"prefcover/internal/trace"
@@ -120,22 +121,21 @@ type Gateway struct {
 	// Options left federation off.
 	monitor *slo.Monitor
 
-	mu     sync.Mutex
-	nodes  map[string]*nodeState // every known node, drained included
-	sticky map[string]string     // graph name -> last good replica
-	// jobOwner remembers which node accepted each async job so status
-	// polls route straight to it; jobOrder caps the map FIFO-style.
-	jobOwner map[string]string
-	jobOrder []string
+	mu    sync.Mutex
+	nodes map[string]*nodeState // every known node, drained included
+	// The route tables, used under mu: sticky maps a graph name to its last
+	// good replica, and jobOwner a job ID to the node that accepted it, so
+	// status polls route straight there.
+	sticky, jobOwner *lru.Table[string, string]
 
 	probeStop chan struct{}
 	probeDone chan struct{}
 }
 
-// maxTrackedJobs bounds the job->node ownership map; beyond it the oldest
-// entries fall back to fan-out lookup (nodes themselves retain finished
-// jobs only briefly, so stale entries have no value).
-const maxTrackedJobs = 8192
+// maxRoutes bounds sticky and jobOwner, both keyed by names clients
+// choose. An evicted route only sends its next call through the fan-out
+// walk (nodes retain finished jobs only briefly anyway).
+const maxRoutes = 8192
 
 // New validates opts, builds the ring, runs one synchronous probe round
 // (so the gateway routes correctly from its first request) and starts
@@ -153,8 +153,8 @@ func New(opts Options) (*Gateway, error) {
 		logger:    opts.Logger,
 		start:     time.Now(),
 		nodes:     make(map[string]*nodeState),
-		sticky:    make(map[string]string),
-		jobOwner:  make(map[string]string),
+		sticky:    lru.New[string, string](maxRoutes, 0, nil),
+		jobOwner:  lru.New[string, string](maxRoutes, 0, nil),
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
@@ -316,12 +316,7 @@ func (g *Gateway) routeOrder(key string, candidates []string) []string {
 	for _, ns := range g.nodeList() {
 		snaps[ns.URL] = ns
 	}
-	var stickyNode string
-	if key != "" {
-		g.mu.Lock()
-		stickyNode = g.sticky[key]
-		g.mu.Unlock()
-	}
+	stickyNode := g.route(g.sticky, key)
 	healthy := make([]string, 0, len(candidates))
 	unhealthy := make([]string, 0, len(candidates))
 	for _, c := range candidates {
@@ -362,45 +357,26 @@ func (g *Gateway) healthyNodes() []string {
 	return g.routeOrder("", g.ring.Nodes())
 }
 
-// rememberSticky records that node served graph key successfully.
-func (g *Gateway) rememberSticky(key, node string) {
+// route returns the node a route table (sticky or jobOwner) holds for
+// key, marking the route used, or "".
+func (g *Gateway) route(routes *lru.Table[string, string], key string) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	node, _ := routes.Get(key)
+	return node
+}
+
+// jobNode returns the node that accepted job id, or "".
+func (g *Gateway) jobNode(id string) string { return g.route(g.jobOwner, id) }
+
+// remember records in a route table that node answered for key.
+func (g *Gateway) remember(routes *lru.Table[string, string], key, node string) {
 	if key == "" || node == "" {
 		return
 	}
 	g.mu.Lock()
-	g.sticky[key] = node
+	routes.Put(key, node)
 	g.mu.Unlock()
-}
-
-// forgetSticky drops the sticky route for key (graph deleted).
-func (g *Gateway) forgetSticky(key string) {
-	g.mu.Lock()
-	delete(g.sticky, key)
-	g.mu.Unlock()
-}
-
-// rememberJob records which node accepted job id.
-func (g *Gateway) rememberJob(id, node string) {
-	if id == "" || node == "" {
-		return
-	}
-	g.mu.Lock()
-	if _, ok := g.jobOwner[id]; !ok {
-		g.jobOrder = append(g.jobOrder, id)
-		for len(g.jobOrder) > maxTrackedJobs {
-			delete(g.jobOwner, g.jobOrder[0])
-			g.jobOrder = g.jobOrder[1:]
-		}
-	}
-	g.jobOwner[id] = node
-	g.mu.Unlock()
-}
-
-// jobNode returns the node that accepted job id, or "".
-func (g *Gateway) jobNode(id string) string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.jobOwner[id]
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -239,11 +239,13 @@ func (g *Gateway) forwardAndRelay(w http.ResponseWriter, r *http.Request, endpoi
 }
 
 // stick is the keep of a call about graph name: the node that answered
-// below 500 becomes the graph's sticky route.
+// below 400, and so holds the graph, becomes the graph's sticky route. A
+// 404 from the walk or a 400 for a bad request names no holder, and must
+// not grow the table with names clients made up.
 func (g *Gateway) stick(name string) func(*nodeResponse) {
 	return func(resp *nodeResponse) {
-		if resp.status < 500 {
-			g.rememberSticky(name, resp.node)
+		if resp.status < 400 {
+			g.remember(g.sticky, name, resp.node)
 		}
 	}
 }
@@ -384,7 +386,7 @@ func (g *Gateway) replicateGraph(w http.ResponseWriter, r *http.Request, name st
 	for _, secondary := range replicas[1:] {
 		g.replicateOne(r, secondary, body, etag)
 	}
-	g.rememberSticky(name, primaryResp.node)
+	g.remember(g.sticky, name, primaryResp.node)
 	w.Header().Set("X-Prefcover-Replicas", strconv.Itoa(len(replicas)))
 	g.relay(w, primaryResp)
 }
@@ -440,7 +442,9 @@ func (g *Gateway) deleteGraph(w http.ResponseWriter, r *http.Request, name strin
 			best = resp
 		}
 	}
-	g.forgetSticky(name)
+	g.mu.Lock()
+	g.sticky.Remove(name)
+	g.mu.Unlock()
 	if best == nil {
 		debugpage.Error(w, http.StatusBadGateway,
 			fmt.Errorf("all nodes failed to delete %s", name))
@@ -523,9 +527,9 @@ func (g *Gateway) submitJob(w http.ResponseWriter, r *http.Request) {
 			ID string `json:"id"`
 		}
 		if json.Unmarshal(resp.body, &job) == nil {
-			g.rememberJob(job.ID, resp.node)
+			g.remember(g.jobOwner, job.ID, resp.node)
 		}
-		g.rememberSticky(ref, resp.node)
+		g.remember(g.sticky, ref, resp.node)
 	})
 }
 
@@ -563,7 +567,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	g.forwardAndRelay(w, r, "/v1/jobs/{id}", id, nil, g.thenEveryNode(first), func(resp *nodeResponse) {
 		if resp.status != http.StatusNotFound {
-			g.rememberJob(id, resp.node)
+			g.remember(g.jobOwner, id, resp.node)
 		}
 	})
 }

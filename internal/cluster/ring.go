@@ -5,11 +5,14 @@
 // from their key's hash, and the gateway replicates writes to all R,
 // routes reads and solves to a replica with a warm solve cache (sticky
 // by graph, least-loaded tiebreak from /readyz probes), and fails over
-// between replicas through internal/retry when a node misbehaves. Each
-// node holds only its shard's graphs and caches — never the full
-// inventory — which is what keeps per-node state small as the cluster
-// grows (the hash-based placement discipline of succinct coverage
-// oracles, applied to whole graphs instead of sketch cells).
+// between replicas through internal/retry when a node misbehaves. The
+// gateway's two route maps, sticky routes by graph name and job owners by
+// job ID, are internal/lru tables bounded at maxRoutes, and a sticky route
+// is recorded only from an answer below 400. Each node holds only its
+// shard's graphs and caches — never the full inventory — which is what
+// keeps per-node state small as the cluster grows (the hash-based
+// placement discipline of succinct coverage oracles, applied to whole
+// graphs instead of sketch cells).
 //
 // The hashing is deliberately boring and fully deterministic: SHA-256 of
 // the key (the registry graph name — the identity the HTTP API routes

@@ -4,7 +4,8 @@ package cluster
 // listings and their 502 rule, job polls through the owner and through the
 // 404 walk, reads and solves found by the walk after a join, DELETE's best
 // status and its reach past a join, which calls the routing counter
-// counts, and which forwarded attempts the RED metrics count.
+// counts, which forwarded attempts the RED metrics count, and which
+// answers become sticky routes and how many the route tables keep.
 
 import (
 	"encoding/json"
@@ -367,6 +368,65 @@ func TestGatewayDeleteAfterJoin(t *testing.T) {
 		if gi.Name == name {
 			t.Errorf("the listing still names deleted graph %s", name)
 		}
+	}
+}
+
+// TestGatewayStickyOnlyForHeldGraphs: a sticky route names a node that
+// holds the graph. GETs and solves naming graphs no node holds (404 from
+// the walk) and bad requests (400) leave the route table as it was, so
+// /debug/cluster counts the one real graph.
+func TestGatewayStickyOnlyForHeldGraphs(t *testing.T) {
+	fx := bootCluster(t, 2)
+	defer fx.close()
+	putGraphs(t, fx, "alpha")
+	gw := fx.harness.GatewayURL()
+	for i := 0; i < 5; i++ {
+		ghost := fmt.Sprintf("ghost-%d", i)
+		if resp, body := doGW(t, http.DefaultClient, http.MethodGet, gw+"/v1/graphs/"+ghost, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d (%s), want 404", ghost, resp.StatusCode, body)
+		}
+		for query, want := range map[string]int{"?variant=i&k=3": http.StatusNotFound, "?variant=i&k=-1": http.StatusBadRequest} {
+			resp, body := doGW(t, http.DefaultClient, http.MethodPost, gw+"/v1/solve"+query, []byte(`{"graph_ref":"`+ghost+`"}`))
+			if resp.StatusCode != want {
+				t.Fatalf("solve %s%s = %d (%s), want %d", ghost, query, resp.StatusCode, body, want)
+			}
+		}
+	}
+	resp, body := doGW(t, http.DefaultClient, http.MethodGet, gw+"/debug/cluster", nil)
+	var st clusterState
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil {
+		t.Fatalf("GET /debug/cluster = %d (%s)", resp.StatusCode, body)
+	}
+	if st.StickyKeys != 1 {
+		t.Errorf("stickyKeys = %d after requests naming missing graphs, want 1 (alpha)", st.StickyKeys)
+	}
+}
+
+// TestGatewayRouteTablesBounded: however many names clients send, each
+// route table keeps maxRoutes entries and drops the least recently used,
+// so a job polled since it was submitted outlives newer ones.
+func TestGatewayRouteTablesBounded(t *testing.T) {
+	fx := bootCluster(t, 1)
+	defer fx.close()
+	g, node := fx.gw, fx.harness.NodeURLs()[0]
+	for i := 0; i < maxRoutes; i++ {
+		g.remember(g.jobOwner, fmt.Sprintf("job-%d", i), node)
+	}
+	if g.jobNode("job-0") != node {
+		t.Fatal("job-0 not tracked with the table at its bound")
+	}
+	for i := 0; i < maxRoutes+100; i++ {
+		g.remember(g.sticky, fmt.Sprintf("graph-%d", i), node)
+	}
+	for i := maxRoutes; i < maxRoutes+100; i++ {
+		g.remember(g.jobOwner, fmt.Sprintf("job-%d", i), node)
+	}
+	st := g.currentState()
+	if st.StickyKeys != maxRoutes || st.TrackedJbs != maxRoutes {
+		t.Fatalf("stickyKeys %d, trackedJobs %d; want both %d", st.StickyKeys, st.TrackedJbs, maxRoutes)
+	}
+	if g.jobNode("job-0") != node || g.jobNode("job-1") != "" || g.jobNode(fmt.Sprintf("job-%d", maxRoutes+99)) != node {
+		t.Error("job owners not evicted least recently used first: want job-0 (polled) and the newest kept, job-1 gone")
 	}
 }
 

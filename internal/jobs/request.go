@@ -166,6 +166,15 @@ func (r *Request) Validate() error {
 	if r.K > 0 && len(r.Pins) > r.K {
 		return fmt.Errorf("%d pins exceed k=%d", len(r.Pins), r.K)
 	}
+	// A graph's labels are unique (unlabeled nodes answer only to their
+	// canonical #N), so a repeated label is exactly a repeated node.
+	seen := make(map[string]bool, len(r.Pins))
+	for _, p := range r.Pins {
+		if seen[p] {
+			return fmt.Errorf("pin %q listed twice", p)
+		}
+		seen[p] = true
+	}
 	return nil
 }
 

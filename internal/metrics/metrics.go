@@ -269,6 +269,14 @@ func (gv *GaugeVec) With(labelValues ...string) *Gauge {
 	return gv.f.lookup(labelValues, func() any { return new(Gauge) }).(*Gauge)
 }
 
+// Reset drops every series of the family, so one rebuilt from a listing
+// on each scrape loses the label values that left the listing.
+func (gv *GaugeVec) Reset() {
+	gv.f.mu.Lock()
+	gv.f.byKey, gv.f.series = make(map[string]*series), nil
+	gv.f.mu.Unlock()
+}
+
 // FloatGauge is a float64 value that can be set and shifted; the value is
 // stored as raw bits so reads and writes never take a lock.
 type FloatGauge struct{ bits atomic.Uint64 }

@@ -9,11 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"prefcover/internal/lru"
 )
 
 // Kind names one profile the capturer can snapshot. cpu is sampled over a
@@ -65,7 +66,7 @@ type Options struct {
 	MaxFiles int
 	// MaxBytes bounds the total on-disk size of retained captures
 	// (default 64 MiB). Oldest captures are evicted first when either
-	// bound is exceeded.
+	// bound is exceeded; the newest capture is always kept.
 	MaxBytes int64
 	// Interval enables the periodic capture loop when > 0: every
 	// Interval the capturer snapshots heap and goroutine profiles.
@@ -107,10 +108,9 @@ type Capturer struct {
 	started time.Time
 
 	mu      sync.Mutex
-	dir     string // resolved capture directory ("" until first use)
-	ownDir  bool   // dir was created by us -> removed on Close
-	entries []Entry
-	bytes   int64
+	dir     string                    // resolved capture directory ("" until first use)
+	ownDir  bool                      // dir was created by us -> removed on Close
+	entries *lru.Table[string, Entry] // capture order: downloads only Peek
 	lastTrg map[string]time.Time
 	seq     uint64
 	closed  bool
@@ -147,6 +147,7 @@ func New(opts Options) *Capturer {
 		log:     log,
 		started: time.Now(),
 		dir:     opts.Dir,
+		entries: lru.New[string](opts.MaxFiles, opts.MaxBytes, func(e Entry) int64 { return e.Bytes }),
 		lastTrg: map[string]time.Time{},
 	}
 }
@@ -191,8 +192,7 @@ func (c *Capturer) Close() {
 	c.mu.Lock()
 	c.closed = true
 	dir, own := c.dir, c.ownDir
-	c.entries = nil
-	c.bytes = 0
+	c.entries.Each(func(id string, _ Entry) bool { c.entries.Remove(id); return true })
 	c.mu.Unlock()
 	if own && dir != "" {
 		os.RemoveAll(dir)
@@ -296,14 +296,12 @@ func (c *Capturer) Capture(ctx context.Context, kind Kind, trigger string, secon
 		os.Remove(final)
 		return Entry{}, errors.New("profilez: capturer closed")
 	}
-	c.entries = append(c.entries, e)
-	c.bytes += e.Bytes
-	evicted := c.evictLocked()
+	evicted := c.entries.Put(id, e)
 	c.mu.Unlock()
 
 	for _, ev := range evicted {
-		os.Remove(filepath.Join(dir, ev.ID))
-		c.log.Debug("profilez evicted capture", "id", ev.ID, "bytes", ev.Bytes)
+		os.Remove(filepath.Join(dir, ev.Key))
+		c.log.Debug("profilez evicted capture", "id", ev.Key, "bytes", ev.Value.Bytes)
 	}
 	c.log.Info("profilez capture", "kind", kind, "trigger", trigger, "id", id,
 		"bytes", e.Bytes, "elapsed", time.Since(start).Round(time.Millisecond))
@@ -332,20 +330,6 @@ func (c *Capturer) captureCPU(ctx context.Context, w io.Writer, seconds float64)
 	}
 }
 
-// evictLocked drops oldest entries until both retention bounds hold.
-// Files are removed by the caller after the lock is released.
-func (c *Capturer) evictLocked() []Entry {
-	var evicted []Entry
-	for len(c.entries) > 0 &&
-		(len(c.entries) > c.opts.MaxFiles || c.bytes > c.opts.MaxBytes) {
-		ev := c.entries[0]
-		c.entries = c.entries[1:]
-		c.bytes -= ev.Bytes
-		evicted = append(evicted, ev)
-	}
-	return evicted
-}
-
 func (c *Capturer) ensureDirLocked() (string, error) {
 	if c.dir != "" {
 		if !c.ownDir {
@@ -368,9 +352,11 @@ func (c *Capturer) ensureDirLocked() (string, error) {
 func (c *Capturer) List() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Entry, len(c.entries))
-	copy(out, c.entries)
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.After(out[j].Time) })
+	out := make([]Entry, 0, c.entries.Len())
+	c.entries.Each(func(_ string, e Entry) bool {
+		out = append(out, e)
+		return true
+	})
 	return out
 }
 
@@ -378,24 +364,17 @@ func (c *Capturer) List() []Entry {
 func (c *Capturer) Stats() (files int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.bytes
+	return c.entries.Len(), c.entries.Bytes()
 }
 
 // Open returns a reader over a retained capture by ID.
 func (c *Capturer) Open(id string) (io.ReadCloser, Entry, error) {
 	c.mu.Lock()
-	var found *Entry
-	for i := range c.entries {
-		if c.entries[i].ID == id {
-			found = &c.entries[i]
-			break
-		}
-	}
-	if found == nil || c.dir == "" {
+	e, found := c.entries.Peek(id)
+	if !found || c.dir == "" {
 		c.mu.Unlock()
 		return nil, Entry{}, fmt.Errorf("profilez: no capture %q", id)
 	}
-	e := *found
 	path := filepath.Join(c.dir, filepath.Base(id))
 	c.mu.Unlock()
 	f, err := os.Open(path)

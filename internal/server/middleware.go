@@ -173,18 +173,23 @@ func (s *Server) accessLog(r *http.Request, reqID, traceID string, sr *statusRec
 }
 
 // snapshot refreshes the runtime and serving gauges and reads the
-// registry: what /metrics serves and what the SLO monitor records.
+// registry: what /metrics serves and what the SLO monitor records. One
+// runs at a time, so none reads a family another is rebuilding.
 func (s *Server) snapshot() *promtext.Metrics {
+	s.scrapeMu.Lock()
+	defer s.scrapeMu.Unlock()
 	s.met.updateRuntime(s.started)
 	s.updateServing()
 	return s.met.registry.Snapshot()
 }
 
 // updateServing snapshots the registry, cache and job queue into their
-// gauges, once per scrape like the runtime set.
+// gauges, once per scrape like the runtime set; the per-graph family is
+// rebuilt, so a deleted or evicted graph's series goes with it.
 func (s *Server) updateServing() {
 	s.met.storeGraphs.With().Set(int64(s.store.Len()))
 	s.met.storeBytes.With().Set(s.store.TotalBytes())
+	s.met.graphSolves.Reset()
 	for _, info := range s.store.List() {
 		s.met.graphSolves.With(info.Name).Set(info.Solves)
 	}

@@ -50,6 +50,7 @@ func TestInvalidRequestsAnswerAlike(t *testing.T) {
 		// decoder rejects before the validator sees it.
 		{"threshold NaN", "threshold=NaN", `"threshold":NaN`, "threshold NaN outside (0,1]"},
 		{"more pins than k", "k=1&pin=a&pin=b", `"k":1,"pins":["a","b"]`, "2 pins exceed k=1"},
+		{"duplicate pins", "k=2&pin=%231&pin=%231", `"k":2,"pins":["#1","#1"]`, `pin "#1" listed twice`},
 		{"unknown strategy", "k=2&strategy=fast", `"k":2,"strategy":"fast"`,
 			`greedy: unknown strategy "fast" (want scan, parallel, lazy, lazyflat or sketch)`},
 		{"negative workers", "k=2&workers=-1", `"k":2,"workers":-1`, "negative workers -1"},

@@ -84,6 +84,7 @@ import (
 	"net/http"
 	netpprof "net/http/pprof"
 	"net/url"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -165,6 +166,8 @@ type Server struct {
 	monitor *slo.Monitor
 	// started anchors the uptime gauge.
 	started time.Time
+	// scrapeMu serializes snapshot, which rebuilds a gauge family.
+	scrapeMu sync.Mutex
 	// testHookStart, when set (tests only), runs inside the instrumented
 	// handler after limiter admission, letting tests hold a request
 	// in-flight deterministically.
@@ -172,18 +175,15 @@ type Server struct {
 }
 
 // Config is the full constructor input: request limits plus the bounds of
-// the three serving subsystems. The zero value of each subsystem section
-// gets that subsystem's defaults, so Config{Limits: l, Logger: lg} is
-// equivalent to New(l, lg).
+// the registry and the job queue (the cache runs on its defaults). The
+// zero value of each subsystem section gets that subsystem's defaults, so
+// Config{Limits: l, Logger: lg} is equivalent to New(l, lg).
 type Config struct {
 	Limits Limits
 	Logger *slog.Logger
 	// Store bounds the graph registry (Dir enables disk persistence). The
 	// Logger and OnInvalidate fields are managed by the server.
 	Store store.Options
-	// Cache bounds the solve-result cache. OnEvict is managed by the
-	// server.
-	Cache solvecache.Options
 	// Jobs sizes the async queue and worker pool. Gate and OnFinish are
 	// managed by the server (workers share the request limiter).
 	Jobs jobs.Options
@@ -243,9 +243,9 @@ func NewWithConfig(cfg Config) (*Server, error) {
 		s.sem = make(chan struct{}, limits.MaxConcurrent)
 	}
 
-	cacheOpts := cfg.Cache
-	cacheOpts.OnEvict = func(solvecache.Key) { s.met.cacheEvictions.With().Inc() }
-	s.cache = solvecache.New(cacheOpts)
+	s.cache = solvecache.New(solvecache.Options{
+		OnEvict: func(solvecache.Key) { s.met.cacheEvictions.With().Inc() },
+	})
 
 	storeOpts := cfg.Store
 	storeOpts.Logger = cfg.Logger

@@ -903,3 +903,49 @@ func TestGraphReplaceInvalidatesCache(t *testing.T) {
 		t.Fatalf("post-replace cover = %v, want %v (solved against stale graph?)", fresh.Cover, want.Cover)
 	}
 }
+
+// TestGraphSolvesSeriesFollowRegistry: prefcover_store_graph_solves has
+// one series per registered graph, so a deleted or evicted graph's series
+// goes with it, and concurrent scrapes each see the whole family.
+func TestGraphSolvesSeriesFollowRegistry(t *testing.T) {
+	s, ts := newServingServer(t, Config{Store: store.Options{MaxGraphs: 2}})
+	jsonHdr := http.Header{"Content-Type": []string{"application/json"}}
+	body := graphJSON(t, servingGraph(t, 40))
+	series := func() []string {
+		var names []string
+		for _, sm := range s.snapshot().Samples("prefcover_store_graph_solves") {
+			name, _ := sm.Labels.Get("graph")
+			names = append(names, name)
+		}
+		return names
+	}
+	put := func(name string) { doReq(t, http.MethodPut, ts.URL+"/v1/graphs/"+name, jsonHdr, body) }
+	put("gone")
+	series() // a scrape creates gone's series
+	doReq(t, http.MethodDelete, ts.URL+"/v1/graphs/gone", nil, nil)
+	put("old")
+	series()
+	put("kept")
+	put("new") // MaxGraphs 2: evicts old, the least recently used
+	if got := strings.Join(series(), ","); got != "kept,new" {
+		t.Fatalf("graph_solves series for %q, want kept,new (gone deleted, old evicted)", got)
+	}
+	if _, text := scrapeMetrics(t, ts.URL); strings.Contains(text, `graph="gone"`) || strings.Contains(text, `graph="old"`) {
+		t.Fatal("/metrics still shows a series of a deleted or evicted graph")
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				if n := len(series()); n != 2 {
+					t.Errorf("a concurrent scrape saw %d graph_solves series, want 2", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

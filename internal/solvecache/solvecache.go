@@ -20,9 +20,10 @@
 // the strategy empty and they share one lineage; only a randomized solver
 // needs its own.
 //
-// The cache is bounded (entries and approximate bytes) with LRU eviction,
-// and Do coalesces concurrent identical misses singleflight-style so a
-// thundering herd of the same solve runs the solver exactly once.
+// The cache is bounded (entries and approximate bytes) by the serving
+// layer's one LRU table (internal/lru), where Lookup, Do and Store count
+// as use, and Do coalesces concurrent identical misses singleflight-style
+// so a thundering herd of the same solve runs the solver exactly once.
 package solvecache
 
 import (
@@ -35,6 +36,7 @@ import (
 
 	"prefcover/internal/graph"
 	"prefcover/internal/greedy"
+	"prefcover/internal/lru"
 	"prefcover/internal/trace"
 )
 
@@ -235,11 +237,7 @@ type Cache struct {
 	opts Options
 
 	mu      sync.Mutex
-	entries map[Key]*Result
-	byHash  map[string]map[Key]struct{}
-	lruSeq  uint64
-	lastUse map[Key]uint64
-	bytes   int64
+	entries *lru.Table[Key, *Result]
 
 	inflight map[flightKey]*flight
 }
@@ -267,9 +265,7 @@ func New(opts Options) *Cache {
 	}
 	return &Cache{
 		opts:     opts,
-		entries:  make(map[Key]*Result),
-		byHash:   make(map[string]map[Key]struct{}),
-		lastUse:  make(map[Key]uint64),
+		entries:  lru.New[Key](opts.MaxEntries, opts.MaxBytes, (*Result).bytes),
 		inflight: make(map[flightKey]*flight),
 	}
 }
@@ -277,10 +273,7 @@ func New(opts Options) *Cache {
 // Lookup tries to answer q from the cache without any computation.
 func (c *Cache) Lookup(key Key, q Query) (*Hit, bool) {
 	c.mu.Lock()
-	r, ok := c.entries[key]
-	if ok {
-		c.touch(key)
-	}
+	r, ok := c.entries.Get(key)
 	c.mu.Unlock()
 	if !ok {
 		return nil, false
@@ -293,47 +286,34 @@ func (c *Cache) Lookup(key Key, q Query) (*Hit, bool) {
 // queries; the shorter one is its own prefix, so nothing is lost).
 func (c *Cache) Store(key Key, res *Result) {
 	c.mu.Lock()
-	if old, ok := c.entries[key]; ok {
-		if len(old.Order) >= len(res.Order) {
-			c.touch(key)
-			c.mu.Unlock()
-			return
-		}
-		c.bytes -= old.bytes()
-	} else {
-		if c.byHash[key.GraphHash] == nil {
-			c.byHash[key.GraphHash] = make(map[Key]struct{})
-		}
-		c.byHash[key.GraphHash][key] = struct{}{}
+	if old, ok := c.entries.Get(key); ok && len(old.Order) >= len(res.Order) {
+		c.mu.Unlock()
+		return
 	}
-	c.entries[key] = res
-	c.bytes += res.bytes()
-	c.touch(key)
-	evicted := c.evictLocked(key)
+	evicted := c.entries.Put(key, res)
 	c.mu.Unlock()
 	if c.opts.OnEvict != nil {
-		for _, k := range evicted {
-			c.opts.OnEvict(k)
+		for _, ev := range evicted {
+			c.opts.OnEvict(ev.Key)
 		}
 	}
 }
 
 // InvalidateGraph drops every result computed from the given content hash
-// (graph replaced or deleted) and returns how many were removed.
+// (graph replaced or deleted) and returns how many were removed. It scans
+// every entry: it runs only when the registry drops a graph's content, and
+// the table holds at most MaxEntries.
 func (c *Cache) InvalidateGraph(hash string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// removeLocked unlinks each key from this same byHash set, so snapshot
-	// the count (and keys) before draining it.
-	set := c.byHash[hash]
-	n := len(set)
-	keys := make([]Key, 0, n)
-	for key := range set {
-		keys = append(keys, key)
-	}
-	for _, key := range keys {
-		c.removeLocked(key)
-	}
+	n := 0
+	c.entries.Each(func(key Key, _ *Result) bool {
+		if key.GraphHash == hash {
+			c.entries.Remove(key)
+			n++
+		}
+		return true
+	})
 	return n
 }
 
@@ -350,8 +330,7 @@ func (c *Cache) Do(ctx context.Context, key Key, q Query, compute func() (*Resul
 	// a completed solve neither cached nor in flight, so identical
 	// concurrent requests can never run compute twice.
 	c.mu.Lock()
-	if r, ok := c.entries[key]; ok {
-		c.touch(key)
+	if r, ok := c.entries.Get(key); ok {
 		if h, answered := r.answer(q); answered {
 			c.mu.Unlock()
 			trace.FromContext(ctx).AddEvent("solvecache hit")
@@ -398,59 +377,12 @@ func (c *Cache) Do(ctx context.Context, key Key, q Query, compute func() (*Resul
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.Len()
 }
 
 // Bytes returns the approximate retained bytes.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// touch bumps key's recency. Callers hold c.mu.
-func (c *Cache) touch(key Key) {
-	c.lruSeq++
-	c.lastUse[key] = c.lruSeq
-}
-
-// removeLocked drops one entry. Callers hold c.mu.
-func (c *Cache) removeLocked(key Key) {
-	r, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	delete(c.entries, key)
-	delete(c.lastUse, key)
-	c.bytes -= r.bytes()
-	if set := c.byHash[key.GraphHash]; set != nil {
-		delete(set, key)
-		if len(set) == 0 {
-			delete(c.byHash, key.GraphHash)
-		}
-	}
-}
-
-// evictLocked enforces the bounds, sparing keep. Callers hold c.mu.
-func (c *Cache) evictLocked(keep Key) []Key {
-	var out []Key
-	for len(c.entries) > c.opts.MaxEntries || c.bytes > c.opts.MaxBytes {
-		var victim Key
-		var oldest uint64
-		found := false
-		for key := range c.entries {
-			if key == keep {
-				continue
-			}
-			if seq := c.lastUse[key]; !found || seq < oldest {
-				victim, oldest, found = key, seq, true
-			}
-		}
-		if !found {
-			break
-		}
-		c.removeLocked(victim)
-		out = append(out, victim)
-	}
-	return out
+	return c.entries.Bytes()
 }

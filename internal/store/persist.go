@@ -104,16 +104,9 @@ func (r *Registry) loadDir() error {
 			r.logWarn("store: skipping corrupt snapshot", "file", fname, "error", err)
 			continue
 		}
-		r.mu.Lock()
-		r.entries[name] = e
-		r.bytes += e.Bytes
-		r.touch(name)
-		evicted := r.evictLocked(name)
-		orphans := r.orphansLocked(evicted...)
-		r.mu.Unlock()
 		// Over-bound directories trim down to the configured budget; the
 		// evicted snapshots are deleted so the trim sticks across restarts.
-		r.drop(evicted, orphans)
+		r.install(e)
 	}
 	return nil
 }

@@ -8,8 +8,9 @@
 // entry's Hash — the ETag clients revalidate against and the key the solve
 // cache partitions by, so replacing a graph under the same name
 // automatically orphans every cached result computed from the old
-// content. The registry is bounded (count and total encoded bytes) with
-// least-recently-used eviction, where Get and RecordSolve count as use.
+// content. The registry is bounded (count and total encoded bytes) by the
+// serving layer's one LRU table (internal/lru), where Put, Get and
+// RecordSolve count as use and Info, List and Holds do not.
 //
 // With Options.Dir set, entries persist across restarts: Put writes the
 // binary encoding to <dir>/<name>.pcg via temp-file + rename (crash-atomic
@@ -32,6 +33,7 @@ import (
 
 	"prefcover/internal/faults"
 	"prefcover/internal/graph"
+	"prefcover/internal/lru"
 )
 
 // MaxNameLen bounds registry names; long names bloat metrics labels and
@@ -128,13 +130,7 @@ type Registry struct {
 	opts Options
 
 	mu      sync.Mutex
-	entries map[string]*Entry
-	// lruSeq orders use recency: bumped on Put/Get/RecordSolve, smallest
-	// value is the eviction victim. A counter avoids list plumbing and
-	// keeps eviction O(n) on the rare Put that overflows, not on every Get.
-	lruSeq  uint64
-	lastUse map[string]uint64
-	bytes   int64
+	entries *lru.Table[string, *Entry]
 }
 
 // New returns a Registry and, when Options.Dir is set, reloads every
@@ -150,8 +146,7 @@ func New(opts Options) (*Registry, error) {
 	}
 	r := &Registry{
 		opts:    opts,
-		entries: make(map[string]*Entry),
-		lastUse: make(map[string]uint64),
+		entries: lru.New[string](opts.MaxGraphs, opts.MaxBytes, func(e *Entry) int64 { return e.Bytes }),
 	}
 	if opts.Dir != "" {
 		if err := r.loadDir(); err != nil {
@@ -198,55 +193,50 @@ func (r *Registry) Put(name string, g *graph.Graph) (*Entry, bool, error) {
 		return nil, false, fmt.Errorf("store: graph %q encodes to %d bytes, exceeding the registry budget %d", name, size, r.opts.MaxBytes)
 	}
 	e := &Entry{Name: name, Graph: g, Hash: hash, Bytes: size, Created: time.Now()}
+	return e, r.install(e), nil
+}
 
+// install stores e under its name and reports whether it replaced an
+// entry. Evicted entries lose their snapshots, and each displaced entry
+// whose content no remaining name holds fires OnInvalidate.
+func (r *Registry) install(e *Entry) (replaced bool) {
 	r.mu.Lock()
-	prev, replaced := r.entries[name]
-	if replaced {
-		r.bytes -= prev.Bytes
+	prev, replaced := r.entries.Peek(e.Name)
+	var evicted []*Entry
+	for _, ev := range r.entries.Put(e.Name, e) {
+		evicted = append(evicted, ev.Value)
 	}
-	r.entries[name] = e
-	r.bytes += size
-	r.touch(name)
-	evicted := r.evictLocked(name)
-	var orphans []*Entry
+	dropped := evicted
 	if replaced {
-		orphans = r.orphansLocked(prev)
+		dropped = append([]*Entry{prev}, evicted...)
 	}
-	orphans = append(orphans, r.orphansLocked(evicted...)...)
+	orphans := r.orphansLocked(dropped...)
 	r.mu.Unlock()
 
 	r.drop(evicted, orphans)
-	return e, replaced, nil
+	return replaced
 }
 
 // Get returns the entry for name and bumps its recency.
 func (r *Registry) Get(name string) (*Entry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if ok {
-		r.touch(name)
-	}
-	return e, ok
+	return r.entries.Get(name)
 }
 
 // Delete removes name, unlinks its snapshot, and fires invalidation.
 func (r *Registry) Delete(name string) bool {
 	r.mu.Lock()
-	e, ok := r.entries[name]
+	e, ok := r.entries.Remove(name)
 	var orphans []*Entry
 	if ok {
-		delete(r.entries, name)
-		delete(r.lastUse, name)
-		r.bytes -= e.Bytes
 		orphans = r.orphansLocked(e)
 	}
 	r.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		r.drop([]*Entry{e}, orphans)
 	}
-	r.drop([]*Entry{e}, orphans)
-	return true
+	return ok
 }
 
 // Holds reports whether some registered name holds content with this
@@ -258,12 +248,12 @@ func (r *Registry) Holds(hash string) bool {
 }
 
 func (r *Registry) holdsLocked(hash string) bool {
-	for _, e := range r.entries {
-		if e.Hash == hash {
-			return true
-		}
-	}
-	return false
+	held := false
+	r.entries.Each(func(_ string, e *Entry) bool {
+		held = e.Hash == hash
+		return !held
+	})
+	return held
 }
 
 // RecordSolve counts one solver run against name (per-graph statistics on
@@ -271,9 +261,8 @@ func (r *Registry) holdsLocked(hash string) bool {
 func (r *Registry) RecordSolve(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
+	if e, ok := r.entries.Get(name); ok {
 		e.solves++
-		r.touch(name)
 	}
 }
 
@@ -291,7 +280,7 @@ func infoLocked(e *Entry) Info {
 func (r *Registry) Info(name string) (Info, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[name]
+	e, ok := r.entries.Peek(name)
 	if !ok {
 		return Info{}, false
 	}
@@ -302,10 +291,11 @@ func (r *Registry) Info(name string) (Info, bool) {
 func (r *Registry) List() []Info {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Info, 0, len(r.entries))
-	for _, e := range r.entries {
+	out := make([]Info, 0, r.entries.Len())
+	r.entries.Each(func(_ string, e *Entry) bool {
 		out = append(out, infoLocked(e))
-	}
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -314,48 +304,14 @@ func (r *Registry) List() []Info {
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.entries)
+	return r.entries.Len()
 }
 
 // TotalBytes returns the summed encoded size of all entries.
 func (r *Registry) TotalBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.bytes
-}
-
-// touch bumps name's recency. Callers hold r.mu.
-func (r *Registry) touch(name string) {
-	r.lruSeq++
-	r.lastUse[name] = r.lruSeq
-}
-
-// evictLocked enforces the count and byte bounds, never evicting keep
-// (the entry just inserted). Callers hold r.mu; the evicted entries are
-// returned so file removal and invalidation run outside the lock.
-func (r *Registry) evictLocked(keep string) []*Entry {
-	var out []*Entry
-	for len(r.entries) > r.opts.MaxGraphs || r.bytes > r.opts.MaxBytes {
-		victim := ""
-		var oldest uint64
-		for name := range r.entries {
-			if name == keep {
-				continue
-			}
-			if seq := r.lastUse[name]; victim == "" || seq < oldest {
-				victim, oldest = name, seq
-			}
-		}
-		if victim == "" {
-			break
-		}
-		e := r.entries[victim]
-		delete(r.entries, victim)
-		delete(r.lastUse, victim)
-		r.bytes -= e.Bytes
-		out = append(out, e)
-	}
-	return out
+	return r.entries.Bytes()
 }
 
 // orphansLocked returns the dropped entries whose content no remaining
