@@ -8,15 +8,17 @@ CHAOS_SEEDS ?= 1,7,1337
 
 # Packages whose test coverage is floored: the resilience layer, the
 # gateway that routes around failures, the one solver path (the kernel
-# state every strategy runs on, and greedy's strategies over it), the one
-# request path in front of it (the node's handlers and the request type
-# with its validator), and the bounded tables behind both (the graph
-# registry, the prefix cache and the LRU table they, the gateway's route
-# maps and the profile ring evict through). Silent coverage rot here would
-# hollow out the chaos suite's guarantees, the gateway's routing tests,
-# the differential suite's, the request tests' and the eviction tests'.
+# state every strategy runs on, and greedy's strategies over it), the
+# graph it solves (whose one derived slot holds the kernel's per-graph
+# record), the one request path in front of it (the node's handlers and
+# the request type with its validator), and the bounded tables behind both
+# (the graph registry, the prefix cache and the LRU table they, the
+# gateway's route maps and the profile ring evict through). Silent
+# coverage rot here would hollow out the chaos suite's guarantees, the
+# gateway's routing tests, the differential suite's, the request tests'
+# and the eviction tests'.
 COVER_PKGS := ./internal/retry ./internal/faults ./internal/cluster ./internal/kernel ./internal/greedy ./internal/server ./internal/jobs \
-	./internal/store ./internal/solvecache ./internal/lru
+	./internal/store ./internal/solvecache ./internal/lru ./internal/graph
 COVER_FLOOR := 70
 
 # Every fuzz target in the repo, as package:Func pairs. go test allows only

@@ -25,6 +25,7 @@ import (
 	"prefcover/internal/approx"
 	"prefcover/internal/baseline"
 	ibudgeted "prefcover/internal/budgeted"
+	iclickstream "prefcover/internal/clickstream"
 	"prefcover/internal/cover"
 	idynamic "prefcover/internal/dynamic"
 	"prefcover/internal/experiments"
@@ -771,9 +772,10 @@ func BenchmarkSolveResponse(b *testing.B) {
 		return n
 	}
 	solve(200, "miss")
-	// sync.Pool keeps a per-P private buffer another P cannot take, so a
-	// few untimed hits first leave every P's response and replay buffers
-	// warm, and the timed ops measure the steady state.
+	// sync.Pool keeps a per-P private response buffer another P cannot
+	// take, and the graph's record keeps a replay buffer set per P, so a
+	// few untimed hits first leave every P's buffers warm, and the timed
+	// ops measure the steady state.
 	for i := 0; i < 4*runtime.GOMAXPROCS(0); i++ {
 		solve(199-i%199, "hit")
 	}
@@ -996,6 +998,75 @@ func BenchmarkGraphIngest(b *testing.B) {
 				}
 				if _, _, err := reg.Put("yc", got); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInlineSolve measures the requests that bring their own graph,
+// served in-process by prefcoverd's handler: every op decodes a new graph
+// value, so its solve starts from a fresh per-graph record, with no idle
+// buffer set and no memoized base heap. solve posts the full-size YC graph
+// (52,739 nodes) as JSON to /v1/solve, lazy at k=50; pipeline posts a
+// PE-shaped clickstream (9,608 items, 53,914 sessions) as JSONL to
+// /v1/pipeline, which adapts it and solves lazy at k=50.
+func BenchmarkInlineSolve(b *testing.B) {
+	spec, err := isynth.PresetGraphSpec(isynth.YC, 1, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := isynth.GenerateGraph(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var graphBody bytes.Buffer
+	if err := prefcover.WriteGraphJSON(&graphBody, g); err != nil {
+		b.Fatal(err)
+	}
+	catSpec, sesSpec, err := isynth.PresetSpecs(isynth.PE, 0.005, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat, err := isynth.NewCatalog(catSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sessions, err := isynth.GenerateSessions(cat, sesSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sessionBody bytes.Buffer
+	jw := iclickstream.NewJSONLWriter(&sessionBody)
+	if err := iclickstream.WriteAll(sessions, jw.Write); err != nil {
+		b.Fatal(err)
+	}
+	if err := jw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := iserver.NewWithConfig(iserver.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for _, tc := range []struct {
+		name, target string
+		body         []byte
+	}{
+		{"solve", "/v1/solve?variant=i&k=50&strategy=lazy", graphBody.Bytes()},
+		{"pipeline", "/v1/pipeline?k=50&strategy=lazy", sessionBody.Bytes()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(tc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, tc.target, bytes.NewReader(tc.body))
+				req.Header.Set("Content-Type", "application/json")
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: status %d: %.200s", tc.target, rec.Code, rec.Body.String())
 				}
 			}
 		})

@@ -379,6 +379,19 @@ func (g *Gateway) remember(routes *lru.Table[string, string], key, node string) 
 	g.mu.Unlock()
 }
 
+// stick is the keep of a call about key, a graph name in sticky or a job
+// ID in jobOwner: the node that answered below 400, and so holds key,
+// becomes key's route. A 404 from the walk, a 400 for a bad request or a
+// 405 for a bad method names no holder, and must not grow the table with
+// keys clients made up.
+func (g *Gateway) stick(routes *lru.Table[string, string], key string) func(*nodeResponse) {
+	return func(resp *nodeResponse) {
+		if resp.status < 400 {
+			g.remember(routes, key, resp.node)
+		}
+	}
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)

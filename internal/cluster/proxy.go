@@ -238,18 +238,6 @@ func (g *Gateway) forwardAndRelay(w http.ResponseWriter, r *http.Request, endpoi
 	g.relay(w, resp)
 }
 
-// stick is the keep of a call about graph name: the node that answered
-// below 400, and so holds the graph, becomes the graph's sticky route. A
-// 404 from the walk or a 400 for a bad request names no holder, and must
-// not grow the table with names clients made up.
-func (g *Gateway) stick(name string) func(*nodeResponse) {
-	return func(resp *nodeResponse) {
-		if resp.status < 400 {
-			g.remember(g.sticky, name, resp.node)
-		}
-	}
-}
-
 // thenEveryNode appends every routable node missing from first, in
 // routing order: the 404 walk's last resort.
 func (g *Gateway) thenEveryNode(first []string) []string {
@@ -347,7 +335,7 @@ func (g *Gateway) handleGraph(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPut:
 		g.replicateGraph(w, r, name)
 	case http.MethodGet, http.MethodHead:
-		g.forwardAndRelay(w, r, "/v1/graphs/{name}", name, nil, g.graphCandidates(name), g.stick(name))
+		g.forwardAndRelay(w, r, "/v1/graphs/{name}", name, nil, g.graphCandidates(name), g.stick(g.sticky, name))
 	case http.MethodDelete:
 		g.deleteGraph(w, r, name)
 	default:
@@ -469,7 +457,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// graph with them and go wherever load is lowest.
 	if ref := jobs.GraphRef(body); ref != "" {
 		g.met.routed.With("sticky").Inc()
-		g.forwardAndRelay(w, r, "/v1/solve", ref, body, g.graphCandidates(ref), g.stick(ref))
+		g.forwardAndRelay(w, r, "/v1/solve", ref, body, g.graphCandidates(ref), g.stick(g.sticky, ref))
 		return
 	}
 	g.met.routed.With("least_loaded").Inc()
@@ -565,11 +553,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	if owner := g.jobNode(id); owner != "" {
 		first = []string{owner}
 	}
-	g.forwardAndRelay(w, r, "/v1/jobs/{id}", id, nil, g.thenEveryNode(first), func(resp *nodeResponse) {
-		if resp.status != http.StatusNotFound {
-			g.remember(g.jobOwner, id, resp.node)
-		}
-	})
+	g.forwardAndRelay(w, r, "/v1/jobs/{id}", id, nil, g.thenEveryNode(first), g.stick(g.jobOwner, id))
 }
 
 func (g *Gateway) methodNotAllowed(w http.ResponseWriter, r *http.Request, allowed ...string) {

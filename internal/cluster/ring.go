@@ -7,7 +7,7 @@
 // by graph, least-loaded tiebreak from /readyz probes), and fails over
 // between replicas through internal/retry when a node misbehaves. The
 // gateway's two route maps, sticky routes by graph name and job owners by
-// job ID, are internal/lru tables bounded at maxRoutes, and a sticky route
+// job ID, are internal/lru tables bounded at maxRoutes, and either route
 // is recorded only from an answer below 400. Each node holds only its
 // shard's graphs and caches — never the full inventory — which is what
 // keeps per-node state small as the cluster grows (the hash-based

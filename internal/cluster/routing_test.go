@@ -374,7 +374,8 @@ func TestGatewayDeleteAfterJoin(t *testing.T) {
 // TestGatewayStickyOnlyForHeldGraphs: a sticky route names a node that
 // holds the graph. GETs and solves naming graphs no node holds (404 from
 // the walk) and bad requests (400) leave the route table as it was, so
-// /debug/cluster counts the one real graph.
+// /debug/cluster counts the one real graph; PATCHes of made-up job IDs
+// (405) leave the job-owner table empty.
 func TestGatewayStickyOnlyForHeldGraphs(t *testing.T) {
 	fx := bootCluster(t, 2)
 	defer fx.close()
@@ -392,6 +393,12 @@ func TestGatewayStickyOnlyForHeldGraphs(t *testing.T) {
 			}
 		}
 	}
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("made-up-%d", i)
+		if resp, body := doGW(t, http.DefaultClient, http.MethodPatch, gw+"/v1/jobs/"+id, nil); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("PATCH job %s = %d (%s), want 405", id, resp.StatusCode, body)
+		}
+	}
 	resp, body := doGW(t, http.DefaultClient, http.MethodGet, gw+"/debug/cluster", nil)
 	var st clusterState
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil {
@@ -399,6 +406,9 @@ func TestGatewayStickyOnlyForHeldGraphs(t *testing.T) {
 	}
 	if st.StickyKeys != 1 {
 		t.Errorf("stickyKeys = %d after requests naming missing graphs, want 1 (alpha)", st.StickyKeys)
+	}
+	if st.TrackedJbs != 0 {
+		t.Errorf("trackedJobs = %d after PATCHes of made-up job IDs, want 0", st.TrackedJbs)
 	}
 }
 

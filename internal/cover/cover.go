@@ -10,7 +10,7 @@
 // variant's O(1)-per-neighbor update W(u,v)*(W(u)-I[u]).
 //
 // The Engine is the test reference, not a production solver: every solve
-// runs on the flat, pooled internal/kernel State, and the kernel's suites
+// runs on the flat, reused internal/kernel State, and the kernel's suites
 // hold that state, and every strategy built on it, bit-identical to a
 // literal Algorithm 1 loop over this Engine. Evaluate, EvaluateSet and
 // PerItemCoverage are the from-scratch oracle both are checked against.

@@ -19,7 +19,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
 // Weight epsilon used when validating stochastic constraints. Clickstream
@@ -49,21 +49,21 @@ type Graph struct {
 	inSrc   []int32
 	inW     []float64
 
-	// memo holds state other layers derive from this graph (see Memo).
-	memo sync.Map
+	derived atomic.Value // the one slot for solver state derived from the graph (see Derived)
 }
 
-// Memo returns the value memoized on g under key by SetMemo. Because a
-// graph is immutable, state derived from it alone — such as a solver's
-// empty-set gain heap — can live on it and is collected with it, so no
-// cache outside the graph has to learn when the graph goes away. Keys
-// are caller-defined types, as with context values. Memo and SetMemo are
-// functions rather than methods so they stay off the public Graph alias.
-func Memo(g *Graph, key any) (any, bool) { return g.memo.Load(key) }
-
-// SetMemo memoizes v on g under key. Concurrent setters of one key are
-// expected to store equivalent values; the last one wins.
-func SetMemo(g *Graph, key, v any) { g.memo.Store(key, v) }
+// Derived returns the value in g's derived slot, first storing init's
+// result if init is non-nil and the slot is empty; concurrent first callers
+// all get the one value stored. A graph is immutable, so state derived from
+// it alone, such as the kernel's solver record, can live on it and be
+// collected with it. A function, not a method, to stay off the public alias.
+func Derived(g *Graph, init func() any) any {
+	if v := g.derived.Load(); v != nil || init == nil {
+		return v
+	}
+	g.derived.CompareAndSwap(nil, init())
+	return g.derived.Load()
+}
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodeW) }

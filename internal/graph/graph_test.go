@@ -473,3 +473,30 @@ func TestInOutConsistencyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDerivedSlot: the derived slot stores init's value once, a nil init
+// only reads it, and a graph derived by a copy helper starts empty, since
+// state derived from the original does not hold for the copy.
+func TestDerivedSlot(t *testing.T) {
+	g := buildTiny(t)
+	if v := Derived(g, nil); v != nil {
+		t.Fatalf("empty slot read %v", v)
+	}
+	first := new(int)
+	if v := Derived(g, func() any { return first }); v != first {
+		t.Fatalf("first Derived returned %v, want init's value", v)
+	}
+	if v := Derived(g, func() any { return new(int) }); v != first {
+		t.Fatal("a second init replaced the stored value")
+	}
+	if v := Derived(g, nil); v != first {
+		t.Fatal("a read without init missed the stored value")
+	}
+	rn, err := g.Renormalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := Derived(rn, nil); v != nil {
+		t.Fatal("Renormalize's copy carried the derived slot over")
+	}
+}

@@ -103,8 +103,8 @@ func (g *Graph) Renormalize() (*Graph, error) {
 }
 
 // shallowCopy returns a graph sharing g's slices, for callers that replace
-// some of them. The memo is not copied: state derived from g does not hold
-// for the modified graph.
+// some of them. The derived slot is not copied: state derived from g does
+// not hold for the modified graph.
 func (g *Graph) shallowCopy() *Graph {
 	return &Graph{
 		nodeW: g.nodeW, labels: g.labels, byName: g.byName,

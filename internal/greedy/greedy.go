@@ -17,7 +17,7 @@
 //     Gain re-evaluations be skipped without changing the selection.
 //     lazyflat and sketch are aliases of it.
 //
-// Every strategy, stochastic greedy included, runs on one pooled flat
+// Every strategy, stochastic greedy included, runs on one reused flat
 // kernel state (internal/kernel) per solve. The reference cover.Engine has
 // no solver of its own: the kernel differential suite holds every strategy
 // to a literal Algorithm 1 loop over it.

@@ -11,7 +11,7 @@ const (
 	StrategyScan     = "scan"
 	StrategyParallel = "parallel"
 	// StrategyLazy is CELF on the data-oriented kernel (internal/kernel):
-	// flat coverage state, a pooled allocation-free heap, chunk-parallel
+	// flat coverage state, a reused allocation-free heap, chunk-parallel
 	// heap builds, and memoized base gains. It is the default strategy.
 	StrategyLazy       = "lazy"
 	StrategyStochastic = "stochastic"

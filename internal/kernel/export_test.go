@@ -6,8 +6,26 @@ import "prefcover/internal/graph"
 // Exported for the external kernel_test package, whose tests drive the memo
 // through greedy, which imports kernel.
 func Memoized(g *graph.Graph, variant graph.Variant) bool {
-	_, ok := graph.Memo(g, baseHeapKey(variant))
-	return ok
+	r, _ := graph.Derived(g, nil).(*record)
+	return r != nil && r.baseHeap(variant, nil) != nil
+}
+
+// BufferSet identifies the buffer set st holds (nil after Release).
+func BufferSet(st *State) any { return st.buf }
+
+// IdleBufferSets identifies the sets g's record keeps idle.
+func IdleBufferSets(g *graph.Graph) []any {
+	r, _ := graph.Derived(g, nil).(*record)
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]any, len(r.free))
+	for i, b := range r.free {
+		out[i] = b
+	}
+	return out
 }
 
 // FanOut exposes the worker-count clamp of the chunk-parallel gain fill.

@@ -81,9 +81,10 @@ func assertServesScanPrefix(t *testing.T, what string, reg *store.Registry, name
 
 // TestRegistryReleasesKernelMemo: the kernel memoizes its base heap on the
 // graph itself, so every way the registry lets go of a graph — a re-PUT
-// with different content, a re-PUT with the same content (a new graph under
-// the same hash), a Delete, an eviction — leaves the old graph and its memo
-// collectable, and the next solve serves the current graph's scan prefix.
+// with different content, a Delete, an eviction — leaves the old graph and
+// its memo collectable, and the next solve serves the current graph's scan
+// prefix. A re-PUT with the same content keeps the registered graph and its
+// memo, and lets go of the newly decoded copy instead.
 func TestRegistryReleasesKernelMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xf06))
 	newGraph := func() *graph.Graph { return graphtest.Random(rng, 120, 5, graph.Normalized) }
@@ -127,9 +128,17 @@ func TestRegistryReleasesKernelMemo(t *testing.T) {
 	if hash("a") != hashBefore {
 		t.Fatal("same-content re-PUT changed the content hash")
 	}
-	replaced := watch(next)
-	next = nil
-	assertCollected(t, "same-content re-PUT", replaced)
+	copied := watch(same)
+	same, next = next, nil // "a" keeps its graph; the decoded copy goes
+	if e, _ := reg.Get("a"); e.Graph != same {
+		t.Fatal("same-content re-PUT installed the decoded copy")
+	}
+	assertCollected(t, "same-content re-PUT", copied)
+	for _, variant := range bothVariants {
+		if !kernel.Memoized(same, variant) {
+			t.Errorf("same-content re-PUT dropped the %s memo", variant)
+		}
+	}
 	assertServesScanPrefix(t, "same-content re-PUT", reg, "a", same)
 
 	deleted := putWarm("d", newGraph())

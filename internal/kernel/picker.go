@@ -2,9 +2,10 @@ package kernel
 
 import (
 	"context"
+	"unsafe"
 )
 
-// entry is one lazy-heap candidate. The backing array is flat and pooled;
+// entry is one lazy-heap candidate. The backing array is flat and reused;
 // sift operations move 16-byte values, never pointers, and no interface
 // boxing occurs anywhere on the pick path.
 type entry struct {
@@ -84,22 +85,24 @@ type Picker struct {
 
 // NewPicker builds the lazy heap for the state's current retained set.
 // workers sizes the chunk-parallel gain evaluation on a cold build
-// (<= 0 means GOMAXPROCS). The heap storage comes from the state's pooled
+// (<= 0 means GOMAXPROCS). The heap storage comes from the state's
 // buffers, so construction allocates nothing in steady state.
 //
 // Builds are cold only once per (graph, variant): the S = {} heap is
-// memoized, and later builds copy it — verbatim when nothing is pinned;
-// otherwise minus the pinned nodes and re-heapified, its keys then stale
-// but admissible bounds.
+// memoized on the graph's record, and later builds copy it — verbatim when
+// nothing is pinned; otherwise minus the pinned nodes and re-heapified, its
+// keys then stale but admissible bounds.
 func NewPicker(ctx context.Context, st *State, workers int) *Picker {
 	p := &Picker{ctx: ctx, st: st}
 	n := st.g.NumNodes()
+	rec := recordOf(st.g)
 	if st.buf.entries == nil {
 		// Allocated on first use: states that only replay never need it.
 		st.buf.entries = make([]entry, 0, n)
+		rec.held.Add(int64(unsafe.Sizeof(entry{})) * int64(n))
 	}
 	entries := st.buf.entries[:0]
-	base := cachedBaseHeap(st.g, st.variant)
+	base := rec.baseHeap(st.variant, nil)
 	switch {
 	case base == nil:
 		scratch := st.buf.scratch
@@ -117,12 +120,12 @@ func NewPicker(ctx context.Context, st *State, workers int) *Picker {
 		}
 		heapify(entries)
 		if st.size == 0 {
-			storeBaseHeap(st.g, st.variant, append([]entry(nil), entries...))
+			rec.baseHeap(st.variant, append([]entry(nil), entries...))
 		}
 	case st.size == 0:
 		// Cache hit, nothing pinned: the memoized heap is exactly the heap
 		// this build would produce (exact fresh gains at round 0), so the
-		// whole construction is one copy into the pooled backing array.
+		// whole construction is one copy into the state's backing array.
 		if err := ctxErr(ctx); err != nil {
 			p.buildErr = err
 			return p

@@ -5,7 +5,7 @@ import (
 	"unsafe"
 )
 
-// TestEntrySize pins the lazy-heap entry at 16 bytes: the pooled heap, the
+// TestEntrySize pins the lazy-heap entry at 16 bytes: the reused heap, the
 // memoized base heap and every sift move whole entries, so their size is
 // the picker's per-node memory and copy cost.
 func TestEntrySize(t *testing.T) {

@@ -1,9 +1,10 @@
 // Package kernel is the one incremental engine every production solve runs
 // on: flat coverage state (a []uint64 retained bitset and cache-aligned I
-// arrays), an allocation-free lazy heap pooled by graph size and seeded
-// from a memoized empty-set heap, and chunk-parallel gain evaluation. The
+// arrays), an allocation-free lazy heap seeded from a memoized empty-set
+// heap, and chunk-parallel gain evaluation. The heaps and the reused buffer
+// sets live on one record per graph value, collected with the graph. The
 // greedy strategies (scan, parallel, lazy, stochastic), quota.Solve and the
-// budgeted passes all drive a pooled State.
+// budgeted passes all drive a State.
 //
 // Every kernel is numerically bit-identical to cover.Engine, the test
 // reference for the paper's Algorithms 2–5: the gain and add loops use
@@ -21,9 +22,9 @@ import (
 )
 
 // State is the flat counterpart of cover.Engine: same semantics, pointer-
-// free hot loops, pooled backing storage. Like the Engine, a State is not
-// safe for concurrent mutation, but Gain is read-only and may be called
-// from multiple goroutines between Add calls.
+// free hot loops, backing storage lent by its graph's record. Like the
+// Engine, a State is not safe for concurrent mutation, but Gain is
+// read-only and may be called from multiple goroutines between Add calls.
 type State struct {
 	g       *graph.Graph
 	variant graph.Variant
@@ -46,14 +47,13 @@ type State struct {
 	total float64 // C(S)
 	size  int     // |S|
 
-	buf *buffers // pooled backing storage; nil after Release
+	buf *buffers // backing storage lent by g's record; nil after Release
 }
 
-// NewState acquires pooled storage for g and returns a State with S = {}.
-// Call Release when done to return the storage to the per-size pool.
+// NewState takes storage from g's record and returns a State with S = {}.
+// Call Release when done to return the storage to the record.
 func NewState(g *graph.Graph, variant graph.Variant) *State {
-	n := g.NumNodes()
-	buf := acquireBuffers(n)
+	buf := recordOf(g).acquire()
 	st := &State{
 		g:        g,
 		variant:  variant,
@@ -73,7 +73,7 @@ func NewState(g *graph.Graph, variant graph.Variant) *State {
 // (pins first, then picks), and by the ordered-prefix property also of the
 // solve at any shorter budget, so every I[v] — and with it Coverage — is
 // bit-identical to that solve's final state. It costs O(n) plus the
-// in-degrees of order, on pooled storage; order must hold valid node ids.
+// in-degrees of order, on lent storage; order must hold valid node ids.
 // Call Release when done.
 func Replay(g *graph.Graph, variant graph.Variant, order []int32) *State {
 	st := NewState(g, variant)
@@ -84,7 +84,7 @@ func Replay(g *graph.Graph, variant graph.Variant, order []int32) *State {
 }
 
 // Coverage returns ItemCoverage for every node: the I[v]/W(v) report that
-// greedy.Solution.Coverage holds. The slice is the State's pooled scratch
+// greedy.Solution.Coverage holds. The slice is the State's scratch
 // storage, valid until the next Coverage, ScanPick or NewPicker on this
 // State or its Release.
 func (s *State) Coverage() []float64 {
@@ -95,13 +95,13 @@ func (s *State) Coverage() []float64 {
 	return out
 }
 
-// Release returns the State's backing storage to the pool. The State must
-// not be used afterwards.
+// Release returns the State's backing storage to its graph's record; a
+// second Release is a no-op. The State must not be used afterwards.
 func (s *State) Release() {
 	if s.buf == nil {
 		return
 	}
-	releaseBuffers(len(s.covered), s.buf)
+	recordOf(s.g).release(s.buf)
 	s.buf, s.retained, s.covered, s.liveW = nil, nil, nil, nil
 }
 

@@ -3,11 +3,17 @@ package kernel_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"prefcover/internal/cover"
 	"prefcover/internal/graph"
 	"prefcover/internal/graphtest"
+	"prefcover/internal/greedy"
 	"prefcover/internal/kernel"
 )
 
@@ -64,9 +70,13 @@ func TestStateMatchesEngineBitwise(t *testing.T) {
 	}
 }
 
-// TestStatePoolReuse checks that pooled storage comes back clean: a state
-// acquired after a released, dirtied one starts from S = {}.
+// TestStatePoolReuse checks the storage a graph's record lends: a state
+// acquired after a released, dirtied one starts from S = {}; a second
+// Release returns nothing; and the record keeps at most GOMAXPROCS idle
+// sets, which its buffers bytes count. GC is off, so no trim after a GC
+// cycle drops an idle set between the checks.
 func TestStatePoolReuse(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(9))
 	g := graphtest.Random(rng, 64, 4, graph.Independent)
 	st := kernel.NewState(g, graph.Independent)
@@ -76,7 +86,6 @@ func TestStatePoolReuse(t *testing.T) {
 	st.Release()
 
 	st2 := kernel.NewState(g, graph.Normalized) // different variant, same size class
-	defer st2.Release()
 	if st2.Size() != 0 || st2.Cover() != 0 {
 		t.Fatalf("reused state not clean: size %d cover %v", st2.Size(), st2.Cover())
 	}
@@ -92,6 +101,135 @@ func TestStatePoolReuse(t *testing.T) {
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		if eng.Gain(v) != st2.Gain(v) {
 			t.Fatalf("reused state gain[%d] %v != engine %v", v, st2.Gain(v), eng.Gain(v))
+		}
+	}
+	st2.Release()
+
+	// Released twice, a state returns its set once: the next two states
+	// hold two sets.
+	st3 := kernel.NewState(g, graph.Independent)
+	st3.Release()
+	st3.Release()
+	a, b := kernel.NewState(g, graph.Independent), kernel.NewState(g, graph.Independent)
+	if kernel.BufferSet(a) == kernel.BufferSet(b) {
+		t.Fatal("a double Release lent one buffer set to two states")
+	}
+	a.Release()
+	b.Release()
+
+	// Of 4×GOMAXPROCS sets in use at once, the record keeps GOMAXPROCS.
+	procs := runtime.GOMAXPROCS(0)
+	states := make([]*kernel.State, 4*procs)
+	var wg sync.WaitGroup
+	for i := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			states[i] = kernel.NewState(g, graph.Independent)
+		}()
+	}
+	wg.Wait()
+	for _, st := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.Release()
+		}()
+	}
+	wg.Wait()
+	n := g.NumNodes()
+	setBytes := int64(8 * (3*n + (n+63)/64)) // covered, liveW, scratch, retained; no picker ran
+	idle := len(kernel.IdleBufferSets(g))
+	if _, bufs := kernel.DerivedBytes(g); idle != procs || bufs != int64(idle)*setBytes {
+		t.Fatalf("record keeps %d idle sets of %d bytes in all, want %d sets of %d bytes", idle, bufs, procs, setBytes)
+	}
+}
+
+// TestIdleBuffersGoWithGC: the sets a record keeps idle survive the GC
+// cycle in which a State took one, and are dropped once a whole cycle
+// passes with none taken, as sync.Pool drops its victims; its buffers bytes
+// then fall to 0, and the base heap stays with the graph.
+func TestIdleBuffersGoWithGC(t *testing.T) {
+	g := graphtest.Random(rand.New(rand.NewSource(11)), 300, 5, graph.Independent)
+	if _, err := greedy.Solve(g, greedy.Options{Variant: graph.Independent, K: 5, Strategy: greedy.StrategyLazy}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	time.Sleep(20 * time.Millisecond) // lets the first trim run
+	if _, bufs := kernel.DerivedBytes(g); bufs == 0 || len(kernel.IdleBufferSets(g)) == 0 {
+		t.Fatalf("a graph solved in the last GC cycle keeps %d idle sets, %d buffer bytes; want some", len(kernel.IdleBufferSets(g)), bufs)
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		if _, bufs := kernel.DerivedBytes(g); bufs == 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	heaps, bufs := kernel.DerivedBytes(g)
+	if idle := len(kernel.IdleBufferSets(g)); idle != 0 || bufs != 0 {
+		t.Errorf("after GC cycles with no solve the record keeps %d idle sets, %d buffer bytes; want none", idle, bufs)
+	}
+	if heaps == 0 || !kernel.Memoized(g, graph.Independent) {
+		t.Error("GC cycles dropped the base heap of a live graph")
+	}
+}
+
+// TestRecordsKeepBuffersPerGraph: two graphs of one node count, solved
+// concurrently and alternately by lazy, scan and Replay, never trade buffer
+// sets, and each answers its own scan.
+func TestRecordsKeepBuffersPerGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x2ec))
+	var gs [2]*graph.Graph
+	var scans [2]*greedy.Solution
+	for i := range gs {
+		gs[i] = graphtest.Random(rng, 200, 5, graph.Normalized)
+		var err error
+		if scans[i], err = greedy.Solve(gs[i], greedy.Options{Variant: graph.Normalized, K: 10, Strategy: greedy.StrategyScan}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	seen := map[any]int{} // buffer set -> the graph whose Replay held it
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				gi := (w + i) % 2
+				want := scans[gi]
+				if i%3 == 2 {
+					st := kernel.Replay(gs[gi], graph.Normalized, want.Order)
+					mu.Lock()
+					if prev, ok := seen[kernel.BufferSet(st)]; ok && prev != gi {
+						t.Errorf("graph %d's Replay holds a buffer set graph %d's held", gi, prev)
+					}
+					seen[kernel.BufferSet(st)] = gi
+					mu.Unlock()
+					if st.Cover() != want.Cover || !slices.Equal(st.Coverage(), want.Coverage) {
+						t.Errorf("graph %d: Replay of the scan prefix reads another cover", gi)
+					}
+					st.Release()
+					continue
+				}
+				strategy := []string{greedy.StrategyLazy, greedy.StrategyScan}[i%3]
+				sol, err := greedy.Solve(gs[gi], greedy.Options{Variant: graph.Normalized, K: 10, Strategy: strategy})
+				if err != nil {
+					t.Error(err)
+				} else if !slices.Equal(sol.Order, want.Order) || !slices.Equal(sol.Gains, want.Gains) {
+					t.Errorf("graph %d %s: order %v gains %v, want the scan's %v %v", gi, strategy, sol.Order, sol.Gains, want.Order, want.Gains)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for gi, g := range gs {
+		for _, set := range kernel.IdleBufferSets(g) {
+			if prev, ok := seen[set]; ok && prev != gi {
+				t.Errorf("graph %d's record keeps a set graph %d's Replay held", gi, prev)
+			}
+			seen[set] = gi
 		}
 	}
 }

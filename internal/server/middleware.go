@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"prefcover/internal/apiclient"
+	"prefcover/internal/kernel"
 	"prefcover/internal/promtext"
 	"prefcover/internal/trace"
 )
@@ -183,12 +184,16 @@ func (s *Server) snapshot() *promtext.Metrics {
 	return s.met.registry.Snapshot()
 }
 
-// updateServing snapshots the registry, cache and job queue into their
-// gauges, once per scrape like the runtime set; the per-graph family is
-// rebuilt, so a deleted or evicted graph's series goes with it.
+// updateServing snapshots the registry, the kernel's record of each graph
+// value it holds, the cache and the job queue into their gauges, once per
+// scrape like the runtime set; the per-graph family is rebuilt, so a
+// deleted or evicted graph's series goes with it.
 func (s *Server) updateServing() {
 	s.met.storeGraphs.With().Set(int64(s.store.Len()))
 	s.met.storeBytes.With().Set(s.store.TotalBytes())
+	heaps, bufs := kernel.DerivedBytes(s.store.Graphs()...)
+	s.met.derivedBytes.With("base_heap").Set(heaps)
+	s.met.derivedBytes.With("buffers").Set(bufs)
 	s.met.graphSolves.Reset()
 	for _, info := range s.store.List() {
 		s.met.graphSolves.With(info.Name).Set(info.Solves)

@@ -154,7 +154,7 @@ func (s *Server) answer(ctx context.Context, t *solveTask, dst []byte) ([]byte, 
 // Its coverage is the solver's own I[v]/W(v) report for exactly the served
 // prefix, so the bytes are the same whether the cache or a fresh solve
 // answered: sol's report when this caller solved the whole prefix,
-// otherwise a replay of the prefix's Adds on pooled kernel state — O(n)
+// otherwise a replay of the prefix's Adds on reused kernel state — O(n)
 // plus the prefix's in-degrees, no solver work. The replay state, nil when
 // unused, backs resp.Coverage; release it once resp is encoded.
 func hitPayload(t *solveTask, h *solvecache.Hit, sol *prefcover.Solution) (resp solveResponse, replay *kernel.State) {

@@ -364,6 +364,7 @@ type serverMetrics struct {
 	cacheBytes         *metrics.GaugeVec   // prefcover_solvecache_bytes
 	storeGraphs        *metrics.GaugeVec   // prefcover_store_graphs
 	storeBytes         *metrics.GaugeVec   // prefcover_store_bytes
+	derivedBytes       *metrics.GaugeVec   // prefcover_store_derived_bytes{kind}
 	graphSolves        *metrics.GaugeVec   // prefcover_store_graph_solves{graph}
 	jobsTotal          *metrics.CounterVec // prefcover_jobs_total{outcome}
 	jobsQueueDepth     *metrics.GaugeVec   // prefcover_jobs_queue_depth
@@ -440,6 +441,8 @@ func newServerMetrics() *serverMetrics {
 			"Graphs registered at scrape time."),
 		storeBytes: r.NewGauge("prefcover_store_bytes",
 			"Approximate bytes of registered graph content."),
+		derivedBytes: r.NewGauge("prefcover_store_derived_bytes",
+			"Bytes the solver keeps for the registered graphs, once per distinct graph value: empty-set heaps (base_heap) and buffer sets lent out or idle (buffers).", "kind"),
 		graphSolves: r.NewGauge("prefcover_store_graph_solves",
 			"Solver runs recorded against each registered graph.", "graph"),
 		jobsTotal: r.NewCounter("prefcover_jobs_total",

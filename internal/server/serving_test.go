@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,7 @@ import (
 	"prefcover"
 	"prefcover/internal/graphtest"
 	"prefcover/internal/jobs"
+	"prefcover/internal/kernel"
 	"prefcover/internal/profilez"
 	"prefcover/internal/solvecache"
 	"prefcover/internal/store"
@@ -472,7 +474,7 @@ func assertCoverageBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestConcurrentHitsKeepTheirBytes races shorter-prefix hits on one warm
-// lineage: each request replays on pooled solver state and encodes into a
+// lineage: each request replays on reused solver state and encodes into a
 // pooled buffer, and every body must still equal the one a lone request
 // got for the same k.
 func TestConcurrentHitsKeepTheirBytes(t *testing.T) {
@@ -948,4 +950,54 @@ func TestGraphSolvesSeriesFollowRegistry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDerivedBytesFollowRegistry: prefcover_store_derived_bytes counts the
+// kernel's record of each graph value the registry holds, once. A second
+// name with the same content adds nothing, and evicting a solved graph
+// takes away exactly its record's bytes. GC is off, so no cycle drops an
+// idle buffer set between the readings.
+func TestDerivedBytesFollowRegistry(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s, ts := newServingServer(t, Config{Store: store.Options{MaxGraphs: 3}})
+	jsonHdr := http.Header{"Content-Type": []string{"application/json"}}
+	derived := func() (heaps, bufs int64) {
+		for _, sm := range s.snapshot().Samples("prefcover_store_derived_bytes") {
+			switch kind, _ := sm.Labels.Get("kind"); kind {
+			case "base_heap":
+				heaps = int64(sm.Value)
+			case "buffers":
+				bufs = int64(sm.Value)
+			}
+		}
+		return heaps, bufs
+	}
+	put := func(name string, body []byte) {
+		t.Helper()
+		if resp, data := doReq(t, http.MethodPut, ts.URL+"/v1/graphs/"+name, jsonHdr, body); resp.StatusCode >= 300 {
+			t.Fatalf("PUT %s = %d: %s", name, resp.StatusCode, data)
+		}
+	}
+	keptBody := graphJSON(t, servingGraph(t, 60))
+	put("old", graphJSON(t, servingGraph(t, 40)))
+	old, _ := s.store.Get("old")
+	put("kept", keptBody)
+	solveRefHTTP(t, ts.URL, "old", "?variant=i&k=5")
+	solveRefHTTP(t, ts.URL, "kept", "?variant=i&k=5")
+	heaps, bufs := derived()
+	oldHeaps, oldBufs := kernel.DerivedBytes(old.Graph)
+	if oldHeaps == 0 || oldBufs == 0 || heaps <= oldHeaps || bufs <= oldBufs {
+		t.Fatalf("derived bytes %d heap, %d buffers; old's record %d, %d: want both graphs counted", heaps, bufs, oldHeaps, oldBufs)
+	}
+	put("twin", keptBody)
+	if h, b := derived(); h != heaps || b != bufs {
+		t.Fatalf("a second name with kept's content moved derived bytes from %d, %d to %d, %d", heaps, bufs, h, b)
+	}
+	put("new", graphJSON(t, servingGraph(t, 50))) // MaxGraphs 3: evicts old, the least recently used
+	if _, ok := s.store.Info("old"); ok {
+		t.Fatal("old was not evicted")
+	}
+	if h, b := derived(); heaps-h != oldHeaps || bufs-b != oldBufs {
+		t.Fatalf("evicting old took %d, %d derived bytes away, want its record's %d, %d", heaps-h, bufs-b, oldHeaps, oldBufs)
+	}
 }

@@ -20,13 +20,20 @@ import (
 // ignored on load.
 const snapshotExt = ".pcg"
 
-// persist encodes g (hashing as it goes) and, when persistence is on,
-// writes the snapshot atomically: encode to <name>.pcg.tmp, fsync, rename
-// over the final path. A crash mid-write leaves at worst a .tmp file the
-// next load ignores.
+// persist encodes g (hashing as it goes), refuses it if it exceeds the
+// byte budget rather than evicting everything else and, when persistence is
+// on, writes the snapshot atomically: encode to <name>.pcg.tmp, fsync,
+// rename over the final path. A crash mid-write leaves at worst a .tmp file
+// the next load ignores, and a refused graph never replaces the snapshot.
 func (r *Registry) persist(name string, g *graph.Graph) (hash string, size int64, err error) {
+	overBudget := func() error {
+		return fmt.Errorf("store: graph %q encodes to %d bytes, exceeding the registry budget %d", name, size, r.opts.MaxBytes)
+	}
 	if r.opts.Dir == "" {
-		return encode(g, nil)
+		if hash, size, err = encode(g, nil); err == nil && size > r.opts.MaxBytes {
+			return "", 0, overBudget()
+		}
+		return hash, size, err
 	}
 	final := filepath.Join(r.opts.Dir, name+snapshotExt)
 	tmp := final + ".tmp"
@@ -48,6 +55,11 @@ func (r *Registry) persist(name string, g *graph.Graph) (hash string, size int64
 		}
 	}
 	hash, size, err = encode(g, sink)
+	if err == nil && size > r.opts.MaxBytes {
+		f.Close()
+		os.Remove(tmp)
+		return "", 0, overBudget()
+	}
 	if err == nil {
 		err = f.Sync()
 	}

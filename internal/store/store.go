@@ -10,7 +10,7 @@
 // automatically orphans every cached result computed from the old
 // content. The registry is bounded (count and total encoded bytes) by the
 // serving layer's one LRU table (internal/lru), where Put, Get and
-// RecordSolve count as use and Info, List and Holds do not.
+// RecordSolve count as use and Info, List, Holds and Graphs do not.
 //
 // With Options.Dir set, entries persist across restarts: Put writes the
 // binary encoding to <dir>/<name>.pcg via temp-file + rename (crash-atomic
@@ -178,8 +178,7 @@ func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); retur
 
 // Put installs g under name, replacing any previous content. It returns
 // the new entry and whether the name already existed. Entries too large
-// for the registry's byte budget are rejected outright rather than
-// evicting everything else.
+// for the registry's byte budget are rejected outright (see persist).
 func (r *Registry) Put(name string, g *graph.Graph) (*Entry, bool, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, false, err
@@ -188,19 +187,20 @@ func (r *Registry) Put(name string, g *graph.Graph) (*Entry, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if size > r.opts.MaxBytes {
-		r.removeFile(name)
-		return nil, false, fmt.Errorf("store: graph %q encodes to %d bytes, exceeding the registry budget %d", name, size, r.opts.MaxBytes)
-	}
 	e := &Entry{Name: name, Graph: g, Hash: hash, Bytes: size, Created: time.Now()}
 	return e, r.install(e), nil
 }
 
 // install stores e under its name and reports whether it replaced an
-// entry. Evicted entries lose their snapshots, and each displaced entry
-// whose content no remaining name holds fires OnInvalidate.
+// entry. If some name holds e's content, e takes that name's graph value,
+// and with it what the solver derived from it. Evicted entries lose their
+// snapshots, and each displaced entry whose content no remaining name
+// holds fires OnInvalidate.
 func (r *Registry) install(e *Entry) (replaced bool) {
 	r.mu.Lock()
+	if held := r.holderLocked(e.Hash); held != nil {
+		e.Graph = held.Graph
+	}
 	prev, replaced := r.entries.Peek(e.Name)
 	var evicted []*Entry
 	for _, ev := range r.entries.Put(e.Name, e) {
@@ -244,16 +244,32 @@ func (r *Registry) Delete(name string) bool {
 func (r *Registry) Holds(hash string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.holdsLocked(hash)
+	return r.holderLocked(hash) != nil
 }
 
-func (r *Registry) holdsLocked(hash string) bool {
-	held := false
+// holderLocked returns an entry holding content with this hash, or nil.
+func (r *Registry) holderLocked(hash string) (held *Entry) {
 	r.entries.Each(func(_ string, e *Entry) bool {
-		held = e.Hash == hash
-		return !held
+		if e.Hash == hash {
+			held = e
+		}
+		return held == nil
 	})
 	return held
+}
+
+// Graphs returns each distinct graph value the registry holds, once. It
+// counts as no use.
+func (r *Registry) Graphs() (out []*graph.Graph) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.entries.Each(func(_ string, e *Entry) bool {
+		if !slices.Contains(out, e.Graph) {
+			out = append(out, e.Graph)
+		}
+		return true
+	})
+	return out
 }
 
 // RecordSolve counts one solver run against name (per-graph statistics on
@@ -317,7 +333,7 @@ func (r *Registry) TotalBytes() int64 {
 // orphansLocked returns the dropped entries whose content no remaining
 // entry holds. Callers hold r.mu and have already removed dropped.
 func (r *Registry) orphansLocked(dropped ...*Entry) []*Entry {
-	return slices.DeleteFunc(slices.Clone(dropped), func(d *Entry) bool { return r.holdsLocked(d.Hash) })
+	return slices.DeleteFunc(slices.Clone(dropped), func(d *Entry) bool { return r.holderLocked(d.Hash) != nil })
 }
 
 // drop finishes removals outside the lock: it unlinks each removed

@@ -11,6 +11,7 @@ import (
 
 	"prefcover/internal/graph"
 	"prefcover/internal/graphtest"
+	"prefcover/internal/greedy"
 )
 
 func testGraph(t *testing.T, seed int64, n int) *graph.Graph {
@@ -334,5 +335,101 @@ func TestEvictionRemovesSnapshot(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "b"+snapshotExt)); err != nil {
 		t.Errorf("surviving snapshot missing: %v", err)
+	}
+}
+
+// TestRejectedPutKeepsSnapshot: a Put over the byte budget is refused
+// before its snapshot replaces the name's old one, so the old content
+// still reloads after a restart.
+func TestRejectedPutKeepsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	r, err := New(Options{Dir: dir, MaxBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _, err := r.Put("a", testGraph(t, 1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Put("a", testGraph(t, 2, 2000)); err == nil {
+		t.Fatal("over-budget Put accepted")
+	}
+	r2, err := New(Options{Dir: dir, MaxBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := r2.Get("a"); !ok || e.Hash != small.Hash {
+		t.Fatalf("after a rejected Put and a restart, a = %+v (held %v), want hash %s", e, ok, small.Hash)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("store dir holds %d files, want a.pcg alone", len(ents))
+	}
+}
+
+// TestSameContentKeepsGraphValue: a same-content re-PUT, decoded afresh
+// from the same bytes, keeps the registered graph value, and with it the
+// base heap the solver memoized on it; a second name with the same content
+// shares the value, and both reload from their own snapshots.
+func TestSameContentKeepsGraphValue(t *testing.T) {
+	dir := t.TempDir()
+	r, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := graph.WriteBinary(&enc, testGraph(t, 3, 300)); err != nil {
+		t.Fatal(err)
+	}
+	put := func(name string) *Entry {
+		t.Helper()
+		g, err := graph.ReadBinary(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _, err := r.Put(name, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	lazyEvals := func() int64 {
+		t.Helper()
+		e, _ := r.Get("a")
+		sol, err := greedy.Solve(e.Graph, greedy.Options{Variant: graph.Independent, K: 5, Strategy: greedy.StrategyLazy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol.GainEvals
+	}
+	first := put("a")
+	lazyEvals() // cold: evaluates every empty-set gain and memoizes the heap
+	warm := lazyEvals()
+	put("a")
+	if e, _ := r.Get("a"); e.Graph != first.Graph {
+		t.Fatal("same-content re-PUT installed the newly decoded graph")
+	}
+	if got := lazyEvals(); got != warm {
+		t.Fatalf("lazy miss after a same-content re-PUT evaluated %d gains, want the warm %d", got, warm)
+	}
+	if b := put("b"); b.Graph != first.Graph || b.Hash != first.Hash {
+		t.Fatal("a second name with the same content holds its own graph value")
+	}
+	if gs := r.Graphs(); len(gs) != 1 || gs[0] != first.Graph {
+		t.Fatalf("Graphs lists %d values for two names of one content, want the one shared value", len(gs))
+	}
+
+	r2, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, okA := r2.Get("a")
+	b, okB := r2.Get("b")
+	if !okA || !okB || a.Hash != first.Hash || b.Hash != first.Hash || a.Graph != b.Graph {
+		t.Fatal("after a restart, a and b do not both reload with the content and one shared graph value")
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := os.Stat(filepath.Join(dir, name+snapshotExt)); err != nil {
+			t.Errorf("%s's own snapshot: %v", name, err)
+		}
 	}
 }
