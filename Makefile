@@ -38,6 +38,7 @@ FUZZ_TARGETS := \
 	./internal/promtext:FuzzPromText \
 	./internal/slo:FuzzSLOSpec \
 	./internal/server:FuzzSolveResponseJSON \
+	./internal/server:FuzzSparseCoverage \
 	./cmd/prefcover:FuzzGraphImport
 
 .PHONY: all build test test-race chaos cover fuzz-short smoke cluster-smoke bench bench-serving bench-json bench-gate profile vet fmt-check ci

@@ -724,6 +724,48 @@ func BenchmarkRemoteSolveWithRetries(b *testing.B) {
 // The solver does no work here; the op is rebuilding and encoding the
 // response, whose per-item coverage report has one float per node.
 func BenchmarkSolveResponse(b *testing.B) {
+	solve := serveYC(b)
+	solve("k=200", "miss")
+	// sync.Pool keeps a per-P private response buffer another P cannot
+	// take, and the graph's record keeps a replay buffer set per P, so a
+	// few untimed hits first leave every P's buffers warm, and the timed
+	// ops measure the steady state.
+	for i := 0; i < 4*runtime.GOMAXPROCS(0); i++ {
+		solve(fmt.Sprintf("k=%d", 199-i%199), "hit")
+	}
+	var read int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A stride coprime with 199 visits every k in 1..199 in turn, so
+		// short runs sample the whole range too.
+		read += solve(fmt.Sprintf("k=%d", 1+(i*37)%199), "hit")
+	}
+	b.ReportMetric(float64(read)/float64(b.N)/1024, "KiB/resp")
+}
+
+// BenchmarkSolveResponseMiss is BenchmarkSolveResponse's miss: each op is
+// a k=50 reference solve of the full-size YC preset pinning a node no
+// earlier op pinned, so the prefix cache misses, the lazy solver runs from
+// the memoized base heap (an untimed unpinned solve stores it), and the
+// answer is encoded and read in full.
+func BenchmarkSolveResponseMiss(b *testing.B) {
+	solve := serveYC(b)
+	solve("k=50", "miss")
+	var read int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read += solve(fmt.Sprintf("k=50&pin=%%23%d", i), "miss")
+	}
+	b.ReportMetric(float64(read)/float64(b.N)/1024, "KiB/resp")
+}
+
+// serveYC registers the full-size YC preset (52,739 nodes) with an
+// in-process prefcoverd behind httptest, closed when b ends, and returns a
+// function that posts one reference solve with the given query, checks
+// its X-Prefcover-Cache status and returns the bytes of its body.
+func serveYC(b *testing.B) func(query, wantCache string) int64 {
 	g, ok := benchGraphs["yc-full"]
 	if !ok {
 		spec, err := isynth.PresetGraphSpec(isynth.YC, 1, 42)
@@ -743,9 +785,9 @@ func BenchmarkSolveResponse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
+	b.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	b.Cleanup(ts.Close)
 	put, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/yc", &body)
 	if err != nil {
 		b.Fatal(err)
@@ -756,38 +798,19 @@ func BenchmarkSolveResponse(b *testing.B) {
 	} else {
 		resp.Body.Close()
 	}
-
-	solve := func(k int, wantCache string) int64 {
-		resp, err := http.Post(fmt.Sprintf("%s/v1/solve?variant=i&k=%d", ts.URL, k),
-			"application/json", strings.NewReader(`{"graph_ref":"yc"}`))
+	return func(query, wantCache string) int64 {
+		resp, err := http.Post(ts.URL+"/v1/solve?variant=i&"+query, "application/json", strings.NewReader(`{"graph_ref":"yc"}`))
 		if err != nil {
 			b.Fatal(err)
 		}
 		n, err := io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Prefcover-Cache") != wantCache {
-			b.Fatalf("k=%d: %v, status %d, cache %q (want %q)",
-				k, err, resp.StatusCode, resp.Header.Get("X-Prefcover-Cache"), wantCache)
+			b.Fatalf("%s: %v, status %d, cache %q (want %q)",
+				query, err, resp.StatusCode, resp.Header.Get("X-Prefcover-Cache"), wantCache)
 		}
 		return n
 	}
-	solve(200, "miss")
-	// sync.Pool keeps a per-P private response buffer another P cannot
-	// take, and the graph's record keeps a replay buffer set per P, so a
-	// few untimed hits first leave every P's buffers warm, and the timed
-	// ops measure the steady state.
-	for i := 0; i < 4*runtime.GOMAXPROCS(0); i++ {
-		solve(199-i%199, "hit")
-	}
-	var read int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A stride coprime with 199 visits every k in 1..199 in turn, so
-		// short runs sample the whole range too.
-		read += solve(1+(i*37)%199, "hit")
-	}
-	b.ReportMetric(float64(read)/float64(b.N)/1024, "KiB/resp")
 }
 
 // BenchmarkSelfScrape prices one SLO monitor tick on a warmed node: the

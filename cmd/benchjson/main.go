@@ -26,7 +26,7 @@ import (
 // lazy-vs-scan and incremental-vs-scratch ablations (Section 5.4's cost
 // accounting), the small greedy end-to-end, the minimization drivers,
 // the public facade and the serving paths, down to one SLO self-scrape.
-const defaultBench = "^(BenchmarkGainKernels|BenchmarkAblationLazyVsScan|BenchmarkAblationIncremental|BenchmarkFig4aGreedySmall|BenchmarkPublicSolve|BenchmarkFig4fMinCover|BenchmarkSolveCacheHitVsMiss|BenchmarkSolveResponse|BenchmarkRemoteSolveWithRetries|BenchmarkTracePropagationOverhead|BenchmarkProfileLabelOverhead|BenchmarkSelfScrape)$"
+const defaultBench = "^(BenchmarkGainKernels|BenchmarkAblationLazyVsScan|BenchmarkAblationIncremental|BenchmarkFig4aGreedySmall|BenchmarkPublicSolve|BenchmarkFig4fMinCover|BenchmarkSolveCacheHitVsMiss|BenchmarkSolveResponse|BenchmarkSolveResponseMiss|BenchmarkRemoteSolveWithRetries|BenchmarkTracePropagationOverhead|BenchmarkProfileLabelOverhead|BenchmarkSelfScrape)$"
 
 // File is the BENCH_*.json document.
 type File struct {

@@ -1,15 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"prefcover"
 	"prefcover/internal/apiclient"
+	"prefcover/internal/graphtest"
 	"prefcover/internal/trace"
 )
 
@@ -332,6 +336,31 @@ func TestWireFieldNames(t *testing.T) {
 		delete(n, "lastError") // present only while the node has one
 		if got, want := keys(n), "draining,graphs,healthy,inFlight,lastSeen,queueCap,queueDepth,running,url"; got != want {
 			t.Errorf("/debug/cluster node fields %s, want %s", got, want)
+		}
+	}
+}
+
+// TestRelayCarriesContentLength: a solve answer of about 114 KiB, by
+// reference and inline, reaches the client through the gateway with its
+// Content-Length, not chunked.
+func TestRelayCarriesContentLength(t *testing.T) {
+	fx := bootCluster(t, 2)
+	defer fx.close()
+	var graph bytes.Buffer
+	if err := prefcover.WriteGraphJSON(&graph, graphtest.Random(rand.New(rand.NewSource(3)), 58000, 2, prefcover.Independent)); err != nil {
+		t.Fatal(err)
+	}
+	gw := fx.harness.GatewayURL()
+	if resp, data := doGW(t, http.DefaultClient, http.MethodPut, gw+"/v1/graphs/big", graph.Bytes()); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT = %d: %s", resp.StatusCode, data)
+	}
+	for name, body := range map[string][]byte{"ref": []byte(`{"graph_ref":"big"}`), "inline": graph.Bytes()} {
+		resp, data := doGW(t, http.DefaultClient, http.MethodPost, gw+"/v1/solve?variant=i&k=20", body)
+		if resp.StatusCode != http.StatusOK || len(data) < 100<<10 {
+			t.Fatalf("%s: %d, %d bytes", name, resp.StatusCode, len(data))
+		}
+		if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte answer", name, resp.ContentLength, resp.TransferEncoding, len(data))
 		}
 	}
 }

@@ -166,8 +166,9 @@ func copyForwardHeaders(dst, src http.Header) {
 	}
 }
 
-// relay writes a buffered node response to the client. The node echoes
-// the forwarded X-Request-ID, which Handler has already set.
+// relay writes a buffered node response to the client, with the body's
+// length, so a large one goes out in one piece rather than chunked. The
+// node echoes the forwarded X-Request-ID, which Handler has already set.
 func (g *Gateway) relay(w http.ResponseWriter, resp *nodeResponse) {
 	h := w.Header()
 	for k, vv := range resp.header {
@@ -179,6 +180,9 @@ func (g *Gateway) relay(w http.ResponseWriter, resp *nodeResponse) {
 		}
 	}
 	h.Set("X-Prefcover-Node", resp.node)
+	if len(resp.body) > 0 { // never for HEAD, 204 or 304
+		h.Set("Content-Length", strconv.Itoa(len(resp.body)))
+	}
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body)
 }

@@ -174,7 +174,15 @@ func (o *Options) Validate(n int) error {
 }
 
 // Solve runs Algorithm 1 on g.
-func Solve(g *graph.Graph, opts Options) (*Solution, error) {
+func Solve(g *graph.Graph, opts Options) (*Solution, error) { return solve(g, opts, true) }
+
+// SolveOrder is Solve without the per-item report: Solution.Coverage stays
+// nil, which saves an n-sized array and its fill. kernel.Replay of the
+// order reproduces the report bit for bit.
+func SolveOrder(g *graph.Graph, opts Options) (*Solution, error) { return solve(g, opts, false) }
+
+// solve is the one solve loop; dense asks finalize for Solution.Coverage.
+func solve(g *graph.Graph, opts Options, dense bool) (*Solution, error) {
 	if err := opts.Validate(g.NumNodes()); err != nil {
 		return nil, err
 	}
@@ -192,7 +200,7 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 	}
 	ctx := opts.Ctx
 	if err := ctxErr(ctx); err != nil {
-		return finalize(sol, st), err
+		return finalize(sol, st, dense), err
 	}
 
 	// Must-stock items come first; pickers are constructed afterwards so
@@ -252,7 +260,7 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 
 	for step := len(sol.Order) + 1; step <= maxPicks && !reachedEarly; step++ {
 		if err := ctxErr(ctx); err != nil {
-			return finalize(sol, st), err
+			return finalize(sol, st, dense), err
 		}
 		evalsBefore := sol.GainEvals
 		var reevalsBefore int64
@@ -269,7 +277,7 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 		if err != nil {
 			// Canceled mid-pick: the in-flight round is discarded, so the
 			// selections made so far are exactly the deterministic prefix.
-			return finalize(sol, st), err
+			return finalize(sol, st, dense), err
 		}
 		if !ok {
 			break // all nodes retained
@@ -305,7 +313,7 @@ func Solve(g *graph.Graph, opts Options) (*Solution, error) {
 	if opts.Threshold <= 0 || reachedEarly {
 		sol.Reached = true
 	}
-	finalize(sol, st)
+	finalize(sol, st, dense)
 	return sol, nil
 }
 
@@ -320,10 +328,13 @@ func (o *Options) notify(ev ProgressEvent) {
 }
 
 // finalize fills the solution fields derivable from the state so that
-// both complete and cancellation-truncated solutions report Cover and
-// per-item Coverage for the prefix actually selected.
-func finalize(sol *Solution, st *kernel.State) *Solution {
+// both complete and cancellation-truncated solutions report Cover and,
+// when dense, per-item Coverage for the prefix actually selected.
+func finalize(sol *Solution, st *kernel.State, dense bool) *Solution {
 	sol.Cover = st.Cover()
+	if !dense {
+		return sol
+	}
 	sol.Coverage = make([]float64, st.Graph().NumNodes())
 	for v := range sol.Coverage {
 		sol.Coverage[v] = st.ItemCoverage(int32(v))

@@ -1,9 +1,11 @@
 // Package kernel is the one incremental engine every production solve runs
 // on: flat coverage state (a []uint64 retained bitset and cache-aligned I
 // arrays), an allocation-free lazy heap seeded from a memoized empty-set
-// heap, and chunk-parallel gain evaluation. The heaps and the reused buffer
-// sets live on one record per graph value, collected with the graph. The
-// greedy strategies (scan, parallel, lazy, stochastic), quota.Solve and the
+// heap, and chunk-parallel gain evaluation. The heaps, the reused buffer
+// sets and the encoded empty-set coverage report live on one record per
+// graph value, collected with the graph. A buffer set goes back clean, so
+// a State costs O(|S| + Σ d_in(S)), not O(n), beyond its picks. The greedy
+// strategies (scan, parallel, lazy, stochastic), quota.Solve and the
 // budgeted passes all drive a State.
 //
 // Every kernel is numerically bit-identical to cover.Engine, the test
@@ -17,6 +19,8 @@
 package kernel
 
 import (
+	"math/bits"
+
 	"prefcover/internal/cover"
 	"prefcover/internal/graph"
 )
@@ -46,12 +50,14 @@ type State struct {
 
 	total float64 // C(S)
 	size  int     // |S|
+	added int     // |S| + Σ d_in(S): the entries Add wrote, which Release restores
 
 	buf *buffers // backing storage lent by g's record; nil after Release
 }
 
-// NewState takes storage from g's record and returns a State with S = {}.
-// Call Release when done to return the storage to the record.
+// NewState takes storage from g's record and returns a State with S = {},
+// in O(1): the record lends only clean sets. Call Release when done to
+// return the storage to the record.
 func NewState(g *graph.Graph, variant graph.Variant) *State {
 	buf := recordOf(g).acquire()
 	st := &State{
@@ -64,17 +70,16 @@ func NewState(g *graph.Graph, variant graph.Variant) *State {
 		buf:      buf,
 	}
 	st.inStart, st.inSrc, st.inW = g.InCSR()
-	copy(st.liveW, st.nodeW)
 	return st
 }
 
 // Replay returns a State holding S = order, reached by adding order's items
 // in sequence. That is the Add sequence of the solve that selected order
 // (pins first, then picks), and by the ordered-prefix property also of the
-// solve at any shorter budget, so every I[v] — and with it Coverage — is
-// bit-identical to that solve's final state. It costs O(n) plus the
-// in-degrees of order, on lent storage; order must hold valid node ids.
-// Call Release when done.
+// solve at any shorter budget, so every I[v] — and with it ItemCoverage — is
+// bit-identical to that solve's final state. It costs O(|order| + Σ d_in
+// over order), on lent storage; order must hold valid node ids. Call
+// Release when done.
 func Replay(g *graph.Graph, variant graph.Variant, order []int32) *State {
 	st := NewState(g, variant)
 	for _, v := range order {
@@ -83,27 +88,56 @@ func Replay(g *graph.Graph, variant graph.Variant, order []int32) *State {
 	return st
 }
 
-// Coverage returns ItemCoverage for every node: the I[v]/W(v) report that
-// greedy.Solution.Coverage holds. The slice is the State's scratch
-// storage, valid until the next Coverage, ScanPick or NewPicker on this
-// State or its Release.
-func (s *State) Coverage() []float64 {
-	out := s.buf.scratch
-	for v := range out {
-		out[v] = s.ItemCoverage(int32(v))
-	}
-	return out
+// Touched calls fn once for every node whose I[v] Add may have written, S
+// and its in-neighbours, in ascending id order. Every other node has I[v] =
+// 0, its value at S = {}. It costs O(|S| + Σ d_in(S) + n/64).
+func (s *State) Touched(fn func(v int32)) {
+	mark := s.buf.touched
+	eachBit(s.retained, func(v int32) {
+		setBit(mark, v)
+		for _, u := range s.inSrc[s.inStart[v]:s.inStart[v+1]] {
+			setBit(mark, u)
+		}
+	})
+	eachBit(mark, fn)
+	clear(mark)
 }
 
-// Release returns the State's backing storage to its graph's record; a
-// second Release is a no-op. The State must not be used afterwards.
+// Release restores the State's backing storage to S = {} and returns it to
+// its graph's record; a second Release is a no-op. The State must not be
+// used afterwards. The restore undoes Add's writes, found from the
+// retained bitset and the in-CSR, unless they outnumber an eighth of the
+// nodes: near there resetting the whole set in sequence costs less.
 func (s *State) Release() {
 	if s.buf == nil {
 		return
 	}
+	if 8*s.added > len(s.nodeW) {
+		clear(s.covered)
+		copy(s.liveW, s.nodeW)
+	} else {
+		eachBit(s.retained, func(v int32) {
+			s.covered[v], s.liveW[v] = 0, s.nodeW[v]
+			for _, u := range s.inSrc[s.inStart[v]:s.inStart[v+1]] {
+				s.covered[u] = 0
+			}
+		})
+	}
+	clear(s.retained)
 	recordOf(s.g).release(s.buf)
 	s.buf, s.retained, s.covered, s.liveW = nil, nil, nil, nil
 }
+
+// eachBit calls fn for every set bit of bs, in ascending order.
+func eachBit(bs []uint64, fn func(v int32)) {
+	for w, word := range bs {
+		for ; word != 0; word &= word - 1 {
+			fn(int32(w<<6 | bits.TrailingZeros64(word)))
+		}
+	}
+}
+
+func setBit(bs []uint64, v int32) { bs[uint32(v)>>6] |= 1 << (uint32(v) & 63) }
 
 // Graph returns the underlying graph.
 func (s *State) Graph() *graph.Graph { return s.g }
@@ -122,21 +156,19 @@ func (s *State) Retained(v int32) bool {
 	return s.retained[uint32(v)>>6]&(1<<(uint32(v)&63)) != 0
 }
 
-func (s *State) setRetained(v int32) {
-	s.retained[uint32(v)>>6] |= 1 << (uint32(v) & 63)
-}
-
 // CoveredWeight returns I[v].
 func (s *State) CoveredWeight(v int32) float64 { return s.covered[v] }
 
 // ItemCoverage returns I[v]/W(v) with the same clamping as
 // cover.Engine.ItemCoverage.
-func (s *State) ItemCoverage(v int32) float64 {
-	w := s.nodeW[v]
+func (s *State) ItemCoverage(v int32) float64 { return itemCoverage(s.covered[v], s.nodeW[v]) }
+
+// itemCoverage is I/W for a node of weight w and covered weight i.
+func itemCoverage(i, w float64) float64 {
 	if w == 0 {
 		return 1
 	}
-	return cover.ClampCoverage(s.covered[v] / w)
+	return cover.ClampCoverage(i / w)
 }
 
 // Gain returns the marginal gain of adding v to S. It computes the same
@@ -181,12 +213,13 @@ func (s *State) Add(v int32) float64 {
 	if s.Retained(v) {
 		return 0
 	}
-	s.setRetained(v)
+	setBit(s.retained, v)
 	s.size++
 	delta := s.nodeW[v] - s.covered[v]
 	s.covered[v] = s.nodeW[v]
 	s.liveW[v] = 0
 	lo, hi := s.inStart[v], s.inStart[v+1]
+	s.added += 1 + int(hi-lo)
 	srcs := s.inSrc[lo:hi]
 	ws := s.inW[lo:hi]
 	switch s.variant {

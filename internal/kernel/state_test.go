@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -72,9 +74,10 @@ func TestStateMatchesEngineBitwise(t *testing.T) {
 
 // TestStatePoolReuse checks the storage a graph's record lends: a state
 // acquired after a released, dirtied one starts from S = {}; a second
-// Release returns nothing; and the record keeps at most GOMAXPROCS idle
-// sets, which its buffers bytes count. GC is off, so no trim after a GC
-// cycle drops an idle set between the checks.
+// Release returns nothing; the record keeps at most GOMAXPROCS idle sets,
+// which its buffers bytes count; and after any mix of solves and replays
+// every idle set is, bit for bit, a newly allocated one. GC is off, so no
+// trim after a GC cycle drops an idle set between the checks.
 func TestStatePoolReuse(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(9))
@@ -138,11 +141,95 @@ func TestStatePoolReuse(t *testing.T) {
 	}
 	wg.Wait()
 	n := g.NumNodes()
-	setBytes := int64(8 * (3*n + (n+63)/64)) // covered, liveW, scratch, retained; no picker ran
+	setBytes := int64(8 * (3*n + 2*((n+63)/64))) // covered, liveW, scratch, the retained and touched bitsets; no picker ran
 	idle := len(kernel.IdleBufferSets(g))
 	if _, bufs := kernel.DerivedBytes(g); idle != procs || bufs != int64(idle)*setBytes {
 		t.Fatalf("record keeps %d idle sets of %d bytes in all, want %d sets of %d bytes", idle, bufs, procs, setBytes)
 	}
+
+	// Solves under every strategy, a solve cancelled after three adds, a
+	// full-budget solve and replays that list their touched nodes, on both
+	// variants, with and without pins, on a random graph and on one with
+	// zero and negative weights and self-loops: every idle set ends clean,
+	// whether its Release walked back Add's writes or reset the whole set.
+	for _, h := range []*graph.Graph{graphtest.Random(rng, 4000, 6, graph.Normalized), oddWeightGraph(rng, 3000)} {
+		clean := func(what string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if dirty := kernel.DirtyIdleSet(h); dirty != "" {
+				t.Fatalf("after %s: %s", what, dirty)
+			}
+		}
+		for _, variant := range bothVariants {
+			for _, pins := range [][]int32{nil, {7, 2, 11}} {
+				var order []int32
+				for name, config := range strategyConfigs() {
+					opts := greedy.Options{Variant: variant, K: 12, Pinned: pins}
+					config(&opts)
+					sol, err := greedy.Solve(h, opts)
+					clean(fmt.Sprintf("%v %s solve, pins %v", variant, name, pins), err)
+					order = sol.Order
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err := greedy.Solve(h, greedy.Options{Variant: variant, K: 12, Pinned: pins, Ctx: ctx,
+					Progress: func(ev greedy.ProgressEvent) {
+						if ev.Step == 3 {
+							cancel()
+						}
+					}})
+				if err == nil {
+					t.Fatal("cancelled solve succeeded")
+				}
+				clean(fmt.Sprintf("%v cancelled solve, pins %v", variant, pins), nil)
+				full, err := greedy.Solve(h, greedy.Options{Variant: variant, K: h.NumNodes(), Pinned: pins})
+				clean(fmt.Sprintf("%v full-budget solve, pins %v", variant, pins), err)
+				for _, prefix := range [][]int32{order, full.Order} {
+					st := kernel.Replay(h, variant, prefix)
+					if kernel.Walks(st) != (len(prefix) < h.NumNodes()) {
+						t.Fatalf("a replay of %d nodes walks: %v", len(prefix), kernel.Walks(st))
+					}
+					st.Touched(func(int32) {})
+					st.Release()
+					clean(fmt.Sprintf("%v replay of %d nodes", variant, len(prefix)), nil)
+				}
+			}
+		}
+	}
+}
+
+// oddWeightGraph is a random graph whose node weights include zeros and a
+// negative value, and some of whose nodes have self-loops.
+func oddWeightGraph(rng *rand.Rand, n int) *graph.Graph {
+	b := graph.NewBuilder(n, 4*n)
+	for v := 0; v < n; v++ {
+		w := rng.Float64() / float64(n)
+		switch v % 9 {
+		case 0:
+			w = 0
+		case 4:
+			w = -1e-12
+		case 5:
+			w = -0.01
+		}
+		b.AddNode(w)
+	}
+	for v := int32(0); v < int32(n); v++ {
+		if v%5 == 0 {
+			b.AddEdge(v, v, 0.5)
+		}
+		for _, u := range rng.Perm(n)[:3] {
+			if int32(u) != v {
+				b.AddEdge(v, int32(u), 0.2)
+			}
+		}
+	}
+	g, err := b.Build(graph.BuildOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // TestIdleBuffersGoWithGC: the sets a record keeps idle survive the GC

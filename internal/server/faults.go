@@ -103,6 +103,9 @@ type truncatedResponseWriter struct {
 }
 
 func (t *truncatedResponseWriter) Write(p []byte) (int, error) {
+	// With its length declared, a body within the allowance would arrive
+	// whole before the abort.
+	t.Header().Del("Content-Length")
 	if t.remaining <= 0 {
 		// Report success so the handler keeps its normal control flow; the
 		// bytes just never reach the wire.

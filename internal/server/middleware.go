@@ -191,9 +191,11 @@ func (s *Server) snapshot() *promtext.Metrics {
 func (s *Server) updateServing() {
 	s.met.storeGraphs.With().Set(int64(s.store.Len()))
 	s.met.storeBytes.With().Set(s.store.TotalBytes())
-	heaps, bufs := kernel.DerivedBytes(s.store.Graphs()...)
+	graphs := s.store.Graphs()
+	heaps, bufs := kernel.DerivedBytes(graphs...)
 	s.met.derivedBytes.With("base_heap").Set(heaps)
 	s.met.derivedBytes.With("buffers").Set(bufs)
+	s.met.derivedBytes.With("coverage_template").Set(kernel.TemplateBytes(graphs...))
 	s.met.graphSolves.Reset()
 	for _, info := range s.store.List() {
 		s.met.graphSolves.With(info.Name).Set(info.Solves)

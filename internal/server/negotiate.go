@@ -10,12 +10,14 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"net/http"
 	"strings"
 
 	"prefcover"
 	"prefcover/internal/debugpage"
+	"prefcover/internal/graph"
 )
 
 // graphFormat enumerates the wire codecs.
@@ -90,28 +92,52 @@ func graphFormatFromAccept(header string) (graphFormat, error) {
 	return formatJSON, &errUnsupportedMedia{ct: header}
 }
 
-// decodeGraph parses one graph in the given format.
+// decodeGraph parses one graph in the given format and rejects one whose
+// weights no solve can answer (see badWeight).
 func decodeGraph(r io.Reader, f graphFormat) (*prefcover.Graph, error) {
+	var (
+		g    *prefcover.Graph
+		err  error
+		what = "graph JSON"
+	)
 	switch f {
 	case formatBinary:
-		g, err := prefcover.ReadGraphBinary(r)
-		if err != nil {
-			return nil, fmt.Errorf("parsing binary graph: %w", err)
-		}
-		return g, nil
+		what = "binary graph"
+		g, err = prefcover.ReadGraphBinary(r)
 	case formatTSV:
-		g, err := prefcover.ReadGraphTSV(r, prefcover.BuildOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("parsing TSV graph: %w", err)
-		}
-		return g, nil
+		what = "TSV graph"
+		g, err = prefcover.ReadGraphTSV(r, prefcover.BuildOptions{})
 	default:
-		g, err := prefcover.ReadGraphJSON(r, prefcover.BuildOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("parsing graph JSON: %w", err)
-		}
-		return g, nil
+		g, err = prefcover.ReadGraphJSON(r, prefcover.BuildOptions{})
 	}
+	if err == nil {
+		err = badWeight(g)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", what, err)
+	}
+	return g, nil
+}
+
+// badWeight names the first node, else the first edge, whose weight is
+// NaN, ±Inf or below -graph.Eps, the tolerance graph.Validate allows: its
+// cover or gains could not be encoded, or would count negative demand.
+func badWeight(g *prefcover.Graph) error {
+	bad := func(w float64) bool { return !(w >= -graph.Eps) || math.IsInf(w, 1) }
+	for v, w := range g.NodeWeights() {
+		if bad(w) {
+			return fmt.Errorf("node %q has weight %g", g.Label(int32(v)), w)
+		}
+	}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		dsts, ws := g.OutEdges(v)
+		for i, w := range ws {
+			if bad(w) {
+				return fmt.Errorf("edge %q -> %q has weight %g", g.Label(v), g.Label(dsts[i]), w)
+			}
+		}
+	}
+	return nil
 }
 
 // encodeGraph writes g in the given format.

@@ -4,7 +4,8 @@ package server
 // comment). A cached prefix answers every smaller budget and every
 // threshold its cover curve reaches, the greedy solution's ordered-prefix
 // property. The per-item coverage is rebuilt per request from the served
-// prefix alone; no cache entry holds one.
+// prefix alone, in O(k + Σ d_in) plus one copy of the graph's encoded
+// S = {} report; neither a cache entry nor a solution holds one.
 
 import (
 	"context"
@@ -100,13 +101,13 @@ func (s *Server) answer(ctx context.Context, t *solveTask, dst []byte) ([]byte, 
 	ctx, cancel := s.requestCtx(ctx)
 	defer cancel()
 	var (
-		sol    *prefcover.Solution
 		usage  *profilez.Usage
 		hit    *solvecache.Hit
 		status solvecache.Status
 		err    error
 	)
 	if t.entry == nil {
+		var sol *prefcover.Solution
 		if sol, usage, err = s.solve(ctx, t.name, t.graph, t.opts); err != nil {
 			return dst, status, err
 		}
@@ -122,7 +123,7 @@ func (s *Server) answer(ctx context.Context, t *solveTask, dst []byte) ([]byte, 
 			if serr != nil {
 				return nil, serr
 			}
-			sol, usage = got, u
+			usage = u
 			s.store.RecordSolve(t.name)
 			return solvecache.NewResult(got, t.graph.NumNodes(), len(t.opts.Pinned)), nil
 		})
@@ -138,10 +139,8 @@ func (s *Server) answer(ctx context.Context, t *solveTask, dst []byte) ([]byte, 
 			s.cache.InvalidateGraph(key.GraphHash)
 		}
 	}
-	resp, replay := hitPayload(t, hit, sol)
-	if replay != nil {
-		defer replay.Release()
-	}
+	resp := hitPayload(t, hit)
+	defer resp.replay.Release()
 	// Resources only when this caller ran the solver: a hit (or a fill
 	// coalesced onto another in-flight request) did no solver work here.
 	resp.Resources = usage
@@ -152,29 +151,22 @@ func (s *Server) answer(ctx context.Context, t *solveTask, dst []byte) ([]byte, 
 // hitPayload is the one payload builder: it converts an answered prefix —
 // a cache hit, or a fresh solve's own prefix — into the response shape.
 // Its coverage is the solver's own I[v]/W(v) report for exactly the served
-// prefix, so the bytes are the same whether the cache or a fresh solve
-// answered: sol's report when this caller solved the whole prefix,
-// otherwise a replay of the prefix's Adds on reused kernel state — O(n)
-// plus the prefix's in-degrees, no solver work. The replay state, nil when
-// unused, backs resp.Coverage; release it once resp is encoded.
-func hitPayload(t *solveTask, h *solvecache.Hit, sol *prefcover.Solution) (resp solveResponse, replay *kernel.State) {
+// prefix, from a replay of the prefix's Adds on the graph's clean kernel
+// state: O(k + Σ d_in), no solver work, and the same bits whether the
+// cache or a fresh solve answered. resp.replay holds it; release it once
+// resp is encoded.
+func hitPayload(t *solveTask, h *solvecache.Hit) solveResponse {
 	order := make([]string, len(h.Order))
 	for i, v := range h.Order {
 		order[i] = t.graph.Label(v)
 	}
-	resp = solveResponse{
+	return solveResponse{
 		Variant: t.opts.Variant.String(),
 		K:       len(h.Order),
 		Cover:   h.Cover,
 		Reached: h.Reached,
 		Order:   order,
 		Gains:   h.Gains,
+		replay:  kernel.Replay(t.graph, t.opts.Variant, h.Order),
 	}
-	if sol != nil && len(sol.Order) == len(h.Order) {
-		resp.Coverage = sol.Coverage
-	} else {
-		replay = kernel.Replay(t.graph, t.opts.Variant, h.Order)
-		resp.Coverage = replay.Coverage()
-	}
-	return resp, replay
 }

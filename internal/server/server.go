@@ -95,7 +95,9 @@ import (
 	"prefcover/internal/apiclient"
 	"prefcover/internal/debugpage"
 	"prefcover/internal/faults"
+	"prefcover/internal/greedy"
 	"prefcover/internal/jobs"
+	"prefcover/internal/kernel"
 	"prefcover/internal/metrics"
 	"prefcover/internal/profilez"
 	"prefcover/internal/promtext"
@@ -442,7 +444,7 @@ func newServerMetrics() *serverMetrics {
 		storeBytes: r.NewGauge("prefcover_store_bytes",
 			"Approximate bytes of registered graph content."),
 		derivedBytes: r.NewGauge("prefcover_store_derived_bytes",
-			"Bytes the solver keeps for the registered graphs, once per distinct graph value: empty-set heaps (base_heap) and buffer sets lent out or idle (buffers).", "kind"),
+			"Bytes the solver keeps for the registered graphs, once per distinct graph value: empty-set heaps (base_heap), buffer sets lent out or idle (buffers) and encoded empty-set coverage reports (coverage_template).", "kind"),
 		graphSolves: r.NewGauge("prefcover_store_graph_solves",
 			"Solver runs recorded against each registered graph.", "graph"),
 		jobsTotal: r.NewCounter("prefcover_jobs_total",
@@ -550,7 +552,8 @@ func (s *Server) writeWorkError(w http.ResponseWriter, r *http.Request, endpoint
 // approximation-gap certificate. name is the graph's label in profiles
 // and accounting: its registry name, or "inline" for a graph the request
 // carried, so every CPU sample is attributable by graph. The returned
-// Usage is nil only when the solver never ran.
+// Usage is nil only when the solver never ran. The solution carries no
+// per-item Coverage: answers take it from a replay (see hitPayload).
 func (s *Server) solve(ctx context.Context, name string, g *prefcover.Graph, opts prefcover.Options) (*prefcover.Solution, *profilez.Usage, error) {
 	strategy := opts.StrategyName()
 	_, span := trace.StartSpan(ctx, "solve")
@@ -597,7 +600,8 @@ func (s *Server) solve(ctx context.Context, name string, g *prefcover.Graph, opt
 	var err error
 	before := profilez.TakeSample()
 	profilez.Do(ctx, labels, func(ctx context.Context) {
-		sol, err = prefcover.SolveContext(ctx, g, opts)
+		opts.Ctx = ctx
+		sol, err = greedy.SolveOrder(g, opts)
 	})
 	usage := profilez.Since(before)
 
@@ -798,6 +802,9 @@ type solveResponse struct {
 	// actually ran for this response; absent on cache hits, which cost no
 	// solver work by construction.
 	Resources *profilez.Usage `json:"resources,omitempty"`
+	// replay, when set, is the state of the served prefix, whose report
+	// appendSolveResponse writes in place of Coverage.
+	replay *kernel.State
 }
 
 // readGraphBody parses the request graph (the trace's "parse" phase) in

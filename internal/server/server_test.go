@@ -187,13 +187,17 @@ func TestErrorPaths(t *testing.T) {
 		path, body string
 		wantStatus int
 	}{
-		"get on solve":        {"/v1/solve?variant=i&k=1", "", http.StatusMethodNotAllowed},
-		"bad variant":         {"/v1/solve?variant=zzz&k=1", "{}", http.StatusBadRequest},
-		"missing k":           {"/v1/solve?variant=i", "{}", http.StatusBadRequest},
-		"bad k":               {"/v1/solve?variant=i&k=x", "{}", http.StatusBadRequest},
-		"bad threshold":       {"/v1/solve?variant=i&threshold=x", "{}", http.StatusBadRequest},
-		"bad workers":         {"/v1/solve?variant=i&k=1&workers=x", "{}", http.StatusBadRequest},
-		"bad graph":           {"/v1/solve?variant=i&k=1", "{nope", http.StatusBadRequest},
+		"get on solve":  {"/v1/solve?variant=i&k=1", "", http.StatusMethodNotAllowed},
+		"bad variant":   {"/v1/solve?variant=zzz&k=1", "{}", http.StatusBadRequest},
+		"missing k":     {"/v1/solve?variant=i", "{}", http.StatusBadRequest},
+		"bad k":         {"/v1/solve?variant=i&k=x", "{}", http.StatusBadRequest},
+		"bad threshold": {"/v1/solve?variant=i&threshold=x", "{}", http.StatusBadRequest},
+		"bad workers":   {"/v1/solve?variant=i&k=1&workers=x", "{}", http.StatusBadRequest},
+		"bad graph":     {"/v1/solve?variant=i&k=1", "{nope", http.StatusBadRequest},
+		"negative node weight": {"/v1/solve?variant=i&k=1",
+			`{"nodes":[{"weight":-0.1},{"weight":0.6}],"edges":[{"src":0,"dst":1,"weight":0.5}]}`, http.StatusBadRequest},
+		"negative edge weight": {"/v1/solve?variant=i&k=1",
+			`{"nodes":[{"weight":0.4},{"weight":0.6}],"edges":[{"src":0,"dst":1,"weight":-0.5}]}`, http.StatusBadRequest},
 		"empty clickstream":   {"/v1/adapt", "", http.StatusBadRequest},
 		"garbage clickstream": {"/v1/adapt", "not json", http.StatusBadRequest},
 		"pipeline no budget":  {"/v1/pipeline", figure3JSONL, http.StatusBadRequest},

@@ -875,6 +875,69 @@ func TestDeleteDuringSolveNotCached(t *testing.T) {
 	}
 }
 
+// TestPutRejectsUnanswerableWeights: a graph carrying a weight no solve can
+// answer — NaN or +Inf in a binary upload, below -graph.Eps in a JSON one —
+// answers 400 naming the node, and the registry stores nothing.
+func TestPutRejectsUnanswerableWeights(t *testing.T) {
+	s, ts := newServingServer(t, Config{})
+	binary := func(w float64) []byte {
+		b := prefcover.NewBuilder(3, 1)
+		b.AddNode(0.5)
+		b.AddNode(w)
+		b.AddNode(0.25)
+		b.AddEdge(0, 1, 0.5)
+		g, err := b.Build(prefcover.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := prefcover.WriteGraphBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, tc := range map[string]struct {
+		contentType string
+		body        []byte
+		want        string
+	}{
+		"nan":      {"application/octet-stream", binary(math.NaN()), `node "#1" has weight NaN`},
+		"inf":      {"application/octet-stream", binary(math.Inf(1)), `node "#1" has weight +Inf`},
+		"negative": {"application/json", []byte(`{"nodes":[{"weight":0.5},{"weight":-0.1},{"weight":0.6}],"edges":[]}`), `node "#1" has weight -0.1`},
+	} {
+		resp, data := doReq(t, http.MethodPut, ts.URL+"/v1/graphs/"+name, http.Header{"Content-Type": {tc.contentType}}, tc.body)
+		var env struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, tc.want) {
+			t.Errorf("%s: PUT answered %d %s, want 400 naming %s", name, resp.StatusCode, data, tc.want)
+		}
+	}
+	if n := s.store.Len(); n != 0 {
+		t.Fatalf("the registry stored %d of the rejected graphs", n)
+	}
+}
+
+// TestSolveAnswersCarryContentLength: a solve answer of about 114 KiB, by
+// reference and inline, goes out with its Content-Length, not chunked.
+func TestSolveAnswersCarryContentLength(t *testing.T) {
+	_, ts := newServingServer(t, Config{})
+	body := graphJSON(t, graphtest.Random(rand.New(rand.NewSource(3)), 58000, 2, prefcover.Independent))
+	jsonHdr := http.Header{"Content-Type": []string{"application/json"}}
+	if resp, data := doReq(t, http.MethodPut, ts.URL+"/v1/graphs/big", jsonHdr, body); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT = %d: %s", resp.StatusCode, data)
+	}
+	for name, req := range map[string][]byte{"ref": []byte(`{"graph_ref":"big"}`), "inline": body} {
+		resp, data := doReq(t, http.MethodPost, ts.URL+"/v1/solve?variant=i&k=20", jsonHdr, req)
+		if resp.StatusCode != http.StatusOK || len(data) < 100<<10 {
+			t.Fatalf("%s: %d, %d bytes", name, resp.StatusCode, len(data))
+		}
+		if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte answer", name, resp.ContentLength, resp.TransferEncoding, len(data))
+		}
+	}
+}
+
 // TestGraphReplaceInvalidatesCache replaces a graph's content through the
 // API and checks the old cached solution is not served for the new graph.
 func TestGraphReplaceInvalidatesCache(t *testing.T) {
@@ -955,12 +1018,14 @@ func TestGraphSolvesSeriesFollowRegistry(t *testing.T) {
 // TestDerivedBytesFollowRegistry: prefcover_store_derived_bytes counts the
 // kernel's record of each graph value the registry holds, once. A second
 // name with the same content adds nothing, and evicting a solved graph
-// takes away exactly its record's bytes. GC is off, so no cycle drops an
-// idle buffer set between the readings.
+// takes away exactly its record's bytes, its coverage template (2 bytes a
+// node) included. GC is off, so no cycle drops an idle buffer set between
+// the readings.
 func TestDerivedBytesFollowRegistry(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s, ts := newServingServer(t, Config{Store: store.Options{MaxGraphs: 3}})
 	jsonHdr := http.Header{"Content-Type": []string{"application/json"}}
+	var templates int64
 	derived := func() (heaps, bufs int64) {
 		for _, sm := range s.snapshot().Samples("prefcover_store_derived_bytes") {
 			switch kind, _ := sm.Labels.Get("kind"); kind {
@@ -968,6 +1033,8 @@ func TestDerivedBytesFollowRegistry(t *testing.T) {
 				heaps = int64(sm.Value)
 			case "buffers":
 				bufs = int64(sm.Value)
+			case "coverage_template":
+				templates = int64(sm.Value)
 			}
 		}
 		return heaps, bufs
@@ -989,6 +1056,9 @@ func TestDerivedBytesFollowRegistry(t *testing.T) {
 	if oldHeaps == 0 || oldBufs == 0 || heaps <= oldHeaps || bufs <= oldBufs {
 		t.Fatalf("derived bytes %d heap, %d buffers; old's record %d, %d: want both graphs counted", heaps, bufs, oldHeaps, oldBufs)
 	}
+	if templates != 2*(40+60) || kernel.TemplateBytes(old.Graph) != 2*40 {
+		t.Fatalf("coverage templates read %d bytes, old's %d; want 2 a node", templates, kernel.TemplateBytes(old.Graph))
+	}
 	put("twin", keptBody)
 	if h, b := derived(); h != heaps || b != bufs {
 		t.Fatalf("a second name with kept's content moved derived bytes from %d, %d to %d, %d", heaps, bufs, h, b)
@@ -999,5 +1069,8 @@ func TestDerivedBytesFollowRegistry(t *testing.T) {
 	}
 	if h, b := derived(); heaps-h != oldHeaps || bufs-b != oldBufs {
 		t.Fatalf("evicting old took %d, %d derived bytes away, want its record's %d, %d", heaps-h, bufs-b, oldHeaps, oldBufs)
+	}
+	if templates != 2*60 {
+		t.Fatalf("after old's eviction coverage templates read %d bytes, want kept's %d", templates, 2*60)
 	}
 }

@@ -4,7 +4,11 @@ package server
 // graph node, so on a 52,739-node graph encoding/json's reflection walk
 // costs more than the cached answer behind it. appendSolveResponse writes
 // the same bytes by hand into a pooled buffer; the differential tests and
-// FuzzSolveResponseJSON hold it to json.NewEncoder(w).Encode(resp).
+// FuzzSolveResponseJSON hold it to json.NewEncoder(w).Encode(resp). An
+// answer's coverage is sparse: only the prefix and its in-neighbours read
+// other than at S = {}, so appendCoverage copies the graph's encoded S = {}
+// report between them and formats those alone; FuzzSparseCoverage holds it
+// to the dense report's encoding.
 
 import (
 	"encoding/json"
@@ -13,6 +17,8 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"prefcover/internal/kernel"
 )
 
 // respBufs pools response encoding buffers across requests.
@@ -31,9 +37,11 @@ func putRespBuf(buf *[]byte) {
 	}
 }
 
-// writeRawJSON writes an already encoded JSON reply.
+// writeRawJSON writes an already encoded JSON reply with its length, so a
+// large one goes out in one piece rather than chunked.
 func writeRawJSON(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	_, _ = w.Write(b)
 }
 
@@ -41,7 +49,7 @@ func writeRawJSON(w http.ResponseWriter, b []byte) {
 // json.NewEncoder(w).Encode(resp) writes, trailing newline included: the
 // same field order, strings HTML-escaped, floats in encoding/json's
 // format. A non-finite float fails with the *json.UnsupportedValueError
-// encoding/json returns.
+// encoding/json returns. With resp.replay set, its report is the coverage.
 func appendSolveResponse(dst []byte, resp *solveResponse) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"variant":`...)
@@ -72,7 +80,9 @@ func appendSolveResponse(dst []byte, resp *solveResponse) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, `,"coverage":`...)
-	if dst, err = appendJSONFloats(dst, resp.Coverage); err != nil {
+	if resp.replay != nil {
+		dst = appendCoverage(dst, resp.replay)
+	} else if dst, err = appendJSONFloats(dst, resp.Coverage); err != nil {
 		return dst, err
 	}
 	if resp.Resources != nil {
@@ -86,6 +96,34 @@ func appendSolveResponse(dst []byte, resp *solveResponse) ([]byte, error) {
 		dst = append(dst, res...)
 	}
 	return append(dst, '}', '\n'), nil
+}
+
+// appendCoverage appends st's per-item coverage report as the JSON array
+// appendJSONFloats writes for it: the graph's S = {} template between the
+// touched nodes, in ascending order, and each touched node's value
+// formatted. It copies the template once and does O(|S| + Σ d_in(S))
+// other work.
+func appendCoverage(dst []byte, st *kernel.State) []byte {
+	tmpl := kernel.CoverageTemplate(st.Graph(), appendCoverageFloat)
+	dst = append(dst, '[')
+	next := int32(0)
+	st.Touched(func(v int32) {
+		dst = append(dst, tmpl.Span(next, v)...)
+		dst = append(appendCoverageFloat(dst, st.ItemCoverage(v)), ',')
+		next = v + 1
+	})
+	dst = append(dst, tmpl.Span(next, int32(st.Graph().NumNodes()))...)
+	if dst[len(dst)-1] == ',' {
+		dst = dst[:len(dst)-1]
+	}
+	return append(dst, ']')
+}
+
+// appendCoverageFloat formats one coverage value. ItemCoverage clamps it
+// into [0, 1], so it never meets appendJSONFloat's non-finite error.
+func appendCoverageFloat(dst []byte, f float64) []byte {
+	dst, _ = appendJSONFloat(dst, f)
+	return dst
 }
 
 // appendJSONFloats appends fs as a JSON array, or null for a nil slice.
